@@ -29,12 +29,10 @@ from .counting import (
     direct_t3,
     prob_from_s0,
     sum_closure_count,
-    t3_halved,
 )
 from .errors import (
     ApxError,
     EmptySetError,
-    HalvingUnavailableError,
     InvalidConnectionSetError,
     MuUndefinedError,
     NoNonzeroFrequencyError,

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import GAMMA0, closure_bound, lemma2_scan, size_profile
 from .counting import (
@@ -26,26 +28,27 @@ from .errors import ApxError
 from .fourier import prob_spectral, random_crosscheck, structure_report, t3_spectral
 from .group import parse_group
 from .lemma1 import bruteforce_scan
-from .report import (
-    frac_str,
-    gls_csv,
-    lemma1_csv,
-    lemma2_csv,
-    report_json,
-    theorem1_csv,
-    theorem2_csv,
-)
+from .report import cases_csv, frac_str, lemma1_csv, lemma2_csv, report_json
 from .search import extremal_search, verify_gls, verify_theorem1, verify_theorem2
 from .util import as_fraction, resolve_threads
 
 
+_FORMATS = ("text", "json", "csv")
+
+
 @dataclass
 class RunConfig:
-    max_order: int = 15
+    max_order: int | None = None  # the command's own default depth
     tolerance_spectral: float = 1e-9
     gamma0: Fraction = GAMMA0
     threads: int = 1
     output_format: str = "text"
+
+
+def _output_format(value: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError(f"output_format must be text, json or csv, got {value!r}")
+    return value
 
 
 _CONFIG_PARSERS = {
@@ -53,7 +56,7 @@ _CONFIG_PARSERS = {
     "tolerance_spectral": float,
     "gamma0": as_fraction,
     "threads": resolve_threads,
-    "output_format": str,
+    "output_format": _output_format,
 }
 
 
@@ -74,36 +77,19 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _resolve_config(args) -> tuple[RunConfig, set[str]]:
-    """Defaults, then config file, then APX_THREADS, then explicit flags.
-
-    Also returns the set of fields that were set by something other than
-    the built-in defaults, so commands with their own default depth (gls)
-    can tell a configured max_order from the fallback.
-    """
-    cfg = RunConfig()
-    explicit: set[str] = set()
-    if getattr(args, "config", None):
-        values = load_config(args.config)
-        cfg = replace(cfg, **values)
-        explicit |= set(values)
+def _resolve_config(args, max_order: int | None = None) -> RunConfig:
+    """The command's defaults, then config file, then APX_THREADS, then flags."""
+    cfg = RunConfig(max_order=max_order)
+    if args.config:
+        cfg = replace(cfg, **load_config(args.config))
     env_threads = os.environ.get("APX_THREADS")
     if env_threads:
         cfg = replace(cfg, threads=resolve_threads(env_threads))
-        explicit.add("threads")
-    overrides = {}
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = resolve_threads(args.threads)
-    if getattr(args, "format", None) is not None:
-        overrides["output_format"] = args.format
-    if getattr(args, "gamma0", None) is not None:
-        overrides["gamma0"] = as_fraction(args.gamma0)
-    if getattr(args, "max_order", None) is not None:
-        overrides["max_order"] = args.max_order
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        explicit |= set(overrides)
-    return cfg, explicit
+    for key in ("threads", "output_format", "gamma0", "max_order"):
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg = replace(cfg, **{key: _CONFIG_PARSERS[key](value)})
+    return cfg
 
 
 def _parse_set(group, text: str) -> SubsetMask:
@@ -114,32 +100,12 @@ def _parse_set(group, text: str) -> SubsetMask:
     return SubsetMask.from_indices(group, indices)
 
 
-def _emit(args, cfg: RunConfig, payload: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload if payload.endswith("\n") else payload + "\n")
-    else:
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
-
-
-def _format_report(args, cfg, report, text_fn, csv_fn=None) -> str:
-    fmt = cfg.output_format
-    if fmt == "json":
-        return report_json(report)
-    if fmt == "csv":
-        if csv_fn is None:
-            raise ValueError("this command has no CSV form")
-        return csv_fn(report)
-    return text_fn(report)
-
-
 # ---------------------------------------------------------------------------
 # compute / structure / search
 # ---------------------------------------------------------------------------
 
 
-def _cmd_compute(args) -> int:
-    cfg, _ = _resolve_config(args)
+def _run_compute(args, cfg: RunConfig) -> dict:
     if args.structure and args.gamma is None:
         raise ValueError("--structure needs --gamma")
     group = parse_group(args.group)
@@ -153,7 +119,7 @@ def _cmd_compute(args) -> int:
     profile = size_profile(n, d)
     bound = closure_bound(profile.q, profile.alpha, cfg.gamma0)
 
-    data = {
+    return {
         "group": group.label,
         "order": n,
         "set": s.label,
@@ -175,46 +141,42 @@ def _cmd_compute(args) -> int:
         "structure": structure_report(s, args.gamma) if args.structure else None,
     }
 
-    def text(report) -> str:
-        lines = [
-            f"group {report['group']} (order {report['order']}), set {report['set']}",
-            f"size {report['size']}, symmetric: {report['symmetric']},"
-            f" contains 0: {report['contains_zero']}",
-            f"prob_direct = {frac_str(report['prob_direct'])}"
-            + (
-                f", prob_spectral = {report['prob_spectral']:.12g}"
-                if report["prob_spectral"] is not None
-                else " (spectral prob needs a symmetric set)"
-            ),
-            f"t3_direct = {report['t3_direct']}"
-            + (
-                f", t3_spectral = {report['t3_spectral']:.12g}"
-                if report["t3_spectral"] is not None
-                else " (spectral t3 reported for odd order only)"
-            ),
-        ]
-        if report["cayley_valid"]:
-            lines.append(
-                f"cayley triangles = {report['cayley_triangles_direct']}"
-                f" (formula route {report['cayley_triangles_formula']}),"
-                f" prob via S0 = {frac_str(report['prob_from_s0'])}"
-            )
-        else:
-            lines.append(
-                "cayley triangles: invalid (needs a symmetric set without 0)"
-            )
-        prof = report["size_profile"]
-        lines.append(
-            f"size profile q = {prof['q']}, alpha = {frac_str(prof['alpha'])};"
-            f" bound = {frac_str(report['bound']['value'])}"
-            f" via {report['bound']['branch']}"
-        )
-        if report["structure"] is not None:
-            lines.append(_structure_text(report["structure"]))
-        return "\n".join(lines)
 
-    _emit(args, cfg, _format_report(args, cfg, data, text))
-    return 0
+def _compute_text(report) -> str:
+    lines = [
+        f"group {report['group']} (order {report['order']}), set {report['set']}",
+        f"size {report['size']}, symmetric: {report['symmetric']},"
+        f" contains 0: {report['contains_zero']}",
+        f"prob_direct = {frac_str(report['prob_direct'])}"
+        + (
+            f", prob_spectral = {report['prob_spectral']:.12g}"
+            if report["prob_spectral"] is not None
+            else " (spectral prob needs a symmetric set)"
+        ),
+        f"t3_direct = {report['t3_direct']}"
+        + (
+            f", t3_spectral = {report['t3_spectral']:.12g}"
+            if report["t3_spectral"] is not None
+            else " (spectral t3 reported for odd order only)"
+        ),
+    ]
+    if report["cayley_valid"]:
+        lines.append(
+            f"cayley triangles = {report['cayley_triangles_direct']}"
+            f" (formula route {report['cayley_triangles_formula']}),"
+            f" prob via S0 = {frac_str(report['prob_from_s0'])}"
+        )
+    else:
+        lines.append("cayley triangles: invalid (needs a symmetric set without 0)")
+    prof = report["size_profile"]
+    lines.append(
+        f"size profile q = {prof['q']}, alpha = {frac_str(prof['alpha'])};"
+        f" bound = {frac_str(report['bound']['value'])}"
+        f" via {report['bound']['branch']}"
+    )
+    if report["structure"] is not None:
+        lines.append(_structure_text(report["structure"]))
+    return "\n".join(lines)
 
 
 def _structure_text(rep) -> str:
@@ -241,197 +203,202 @@ def _structure_text(rep) -> str:
     return "\n".join(lines)
 
 
-def _cmd_structure(args) -> int:
-    cfg, _ = _resolve_config(args)
-    group = parse_group(args.group)
-    s = _parse_set(group, args.set)
-    rep = structure_report(s, args.gamma)
-    _emit(args, cfg, _format_report(args, cfg, rep, _structure_text))
-    return 0
-
-
-def _cmd_search(args) -> int:
-    cfg, _ = _resolve_config(args)
-    group = parse_group(args.group)
-    rep = extremal_search(
-        group,
-        args.size,
-        args.objective,
-        canonicalize=args.canonicalize,
-        witness_cap=args.witness_cap,
-        gamma0=cfg.gamma0,
+def _search_text(r) -> str:
+    witnesses = ", ".join(w.label for w in r.witnesses)
+    return "\n".join(
+        [
+            f"search {r.objective} on {r.group.label}, size {r.size}:"
+            f" max = {frac_str(r.max_value)}",
+            f"bound = {frac_str(r.bound.value)} via {r.bound.active_branch};"
+            f" satisfied: {r.bound_satisfied}",
+            f"enumerated {r.enumerated}, pruned {r.pruned_by_canon},"
+            f" witnesses: {witnesses}",
+        ]
     )
-
-    def text(r) -> str:
-        witnesses = ", ".join(w.label for w in r.witnesses)
-        return "\n".join(
-            [
-                f"search {r.objective} on {r.group.label}, size {r.size}:"
-                f" max = {frac_str(r.max_value)}",
-                f"bound = {frac_str(r.bound.value)} via {r.bound.active_branch};"
-                f" satisfied: {r.bound_satisfied}",
-                f"enumerated {r.enumerated}, pruned {r.pruned_by_canon},"
-                f" witnesses: {witnesses}",
-            ]
-        )
-
-    _emit(args, cfg, _format_report(args, cfg, rep, text))
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# verify subcommands
+# verify subcommands and the command table
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify_theorem2(args) -> int:
-    cfg, _ = _resolve_config(args)
-    rep = verify_theorem2(cfg.max_order, gamma0=cfg.gamma0, threads=cfg.threads)
-
-    def text(r) -> str:
-        lines = [
-            f"theorem2: {r.groups} groups up to order {r.max_order},"
-            f" {len(r.cases)} cases, {len(r.failures)} failures,"
-            f" worst gap {frac_str(r.worst_gap)}"
-        ]
-        lines += [
-            f"  FAIL {c.group} d={c.d}: max {frac_str(c.max_value)}"
-            f" > bound {frac_str(c.bound)}"
-            for c in r.failures
-        ]
-        return "\n".join(lines)
-
-    _emit(args, cfg, _format_report(args, cfg, rep, text, theorem2_csv))
-    return 0 if not rep.failures else 1
+def _theorem2_text(r) -> str:
+    lines = [
+        f"theorem2: {r.groups} groups up to order {r.max_order},"
+        f" {len(r.cases)} cases, {len(r.failures)} failures,"
+        f" worst gap {frac_str(r.worst_gap)}"
+    ]
+    lines += [
+        f"  FAIL {c.group} d={c.d}: max {frac_str(c.max_value)}"
+        f" > bound {frac_str(c.bound)}"
+        for c in r.failures
+    ]
+    return "\n".join(lines)
 
 
-def _cmd_verify_theorem1(args) -> int:
-    cfg, _ = _resolve_config(args)
-    rep = verify_theorem1(cfg.max_order, threads=cfg.threads)
-
-    def text(r) -> str:
-        gamma1 = (
-            frac_str(r.empirical_gamma1)
-            if r.empirical_gamma1 is not None
-            else "none needed"
-        )
-        lines = [
-            f"theorem1: {r.groups} odd-order groups up to {r.max_order},"
-            f" {len(r.cases)} cases, {len(r.failures)} hard failures,"
-            f" empirical gamma1: {gamma1}",
-            f"  gamma1-regime cases: {len(r.gamma1_cases)},"
-            f" worst gap to 1: {frac_str(r.worst_gap)}",
-        ]
-        lines += [
-            f"  FAIL {c.group} d={c.d}: density {frac_str(c.max_density)} > 1"
-            for c in r.failures
-        ]
-        return "\n".join(lines)
-
-    _emit(args, cfg, _format_report(args, cfg, rep, text, theorem1_csv))
-    return 0 if not rep.failures else 1
-
-
-def _cmd_verify_gls(args) -> int:
-    cfg, explicit = _resolve_config(args)
-    max_order = cfg.max_order if "max_order" in explicit else 16
-    rep = verify_gls(max_order, threads=cfg.threads)
-
-    def text(r) -> str:
-        lines = [
-            f"gls: {r.groups} groups up to order {r.max_order},"
-            f" {r.sets_total} connection sets ({r.asserted_sets} asserted),"
-            f" {len(r.failures)} failures, {len(r.logged)} logged cases"
-        ]
-        lines += [
-            f"  FAIL {c.group} d={c.d}: {c.max_triangles} triangles"
-            f" > bound {c.bound}"
-            for c in r.failures
-        ]
-        held = sum(1 for c in r.logged if c.holds)
-        lines.append(f"  logged (q < 7) cases holding empirically: {held}/{len(r.logged)}")
-        return "\n".join(lines)
-
-    _emit(args, cfg, _format_report(args, cfg, rep, text, gls_csv))
-    return 0 if not rep.failures else 1
-
-
-def _cmd_verify_lemma1(args) -> int:
-    cfg, _ = _resolve_config(args)
-    rep = bruteforce_scan(args.d_max, args.radius, args.eps, threads=cfg.threads)
-
-    def text(r) -> str:
-        lines = [
-            f"lemma1: d_max {r.d_max}, radius {r.radius}, eps {frac_str(r.eps)}:"
-            f" {r.checked} sequences, {len(r.violations)} violations"
-        ]
-        lines += [
-            f"  VIOLATION weights {v.weights} (d={v.d}):"
-            f" min-product {v.min_product}, center {v.weights[r.radius]}"
-            for v in r.violations
-        ]
-        return "\n".join(lines)
-
-    _emit(args, cfg, _format_report(args, cfg, rep, text, lemma1_csv))
-    return 0 if not rep.violations else 1
-
-
-def _cmd_verify_lemma2(args) -> int:
-    cfg, _ = _resolve_config(args)
-    rep = lemma2_scan(
-        args.q_max,
-        args.alpha_steps,
-        args.eta_steps,
-        gamma0=cfg.gamma0,
-        threads=cfg.threads,
+def _theorem1_text(r) -> str:
+    gamma1 = (
+        frac_str(r.empirical_gamma1)
+        if r.empirical_gamma1 is not None
+        else "none needed"
     )
-
-    def text(r) -> str:
-        lines = [
-            f"lemma2: q up to {r.q_max}, {r.alpha_steps} alpha points,"
-            f" {r.eta_steps} eta points: {r.points} evaluations,"
-            f" {len(r.violations)} violations, {len(r.equalities)} equalities"
-        ]
-        lines += [
-            f"  VIOLATION q={p.q} alpha={frac_str(p.alpha)} k={p.k}"
-            f" eta={frac_str(p.eta)}: lhs {frac_str(p.lhs)} > rhs {frac_str(p.rhs)}"
-            for p in r.violations
-        ]
-        return "\n".join(lines)
-
-    _emit(args, cfg, _format_report(args, cfg, rep, text, lemma2_csv))
-    return 0 if not rep.violations else 1
+    lines = [
+        f"theorem1: {r.groups} odd-order groups up to {r.max_order},"
+        f" {len(r.cases)} cases, {len(r.failures)} hard failures,"
+        f" empirical gamma1: {gamma1}",
+        f"  gamma1-regime cases: {len(r.gamma1_cases)},"
+        f" worst gap to 1: {frac_str(r.worst_gap)}",
+    ]
+    lines += [
+        f"  FAIL {c.group} d={c.d}: density {frac_str(c.max_density)} > 1"
+        for c in r.failures
+    ]
+    return "\n".join(lines)
 
 
-def _cmd_verify_fourier(args) -> int:
-    cfg, explicit = _resolve_config(args)
-    rep = random_crosscheck(
-        trials=args.sets,
-        max_order=cfg.max_order if "max_order" in explicit else 512,
-        max_factors=args.max_factors,
-        seed=args.seed,
-        tol_prob=cfg.tolerance_spectral,
-        tol_t3=args.tol_t3,
-        tol_plancherel=args.tol_plancherel,
-    )
+def _gls_text(r) -> str:
+    lines = [
+        f"gls: {r.groups} groups up to order {r.max_order},"
+        f" {r.sets_total} connection sets ({r.asserted_sets} asserted),"
+        f" {len(r.failures)} failures, {len(r.logged)} logged cases"
+    ]
+    lines += [
+        f"  FAIL {c.group} d={c.d}: {c.max_triangles} triangles > bound {c.bound}"
+        for c in r.failures
+    ]
+    held = sum(1 for c in r.logged if c.holds)
+    lines.append(f"  logged (q < 7) cases holding empirically: {held}/{len(r.logged)}")
+    return "\n".join(lines)
 
-    def text(r) -> str:
-        lines = [
-            f"fourier: {r.trials} random symmetric sets"
-            f" ({r.odd_order_trials} odd-order), seed {r.seed}:"
-            f" {'PASS' if r.passed else 'FAIL'}",
-            f"  max prob error {r.max_prob_error:.3e}"
-            f" (tol {r.tol_prob:.1e});"
-            f" max t3 error {r.max_t3_error:.3e} (tol {r.tol_t3:.1e})",
-            f"  max plancherel residual {r.max_plancherel_residual:.3e}"
-            f" (tol {r.tol_plancherel:.1e});"
-            f" max symmetric imag {r.max_symmetric_imag:.3e}",
-        ]
-        lines += [f"  FAIL {f}" for f in r.failures]
-        return "\n".join(lines)
 
-    _emit(args, cfg, _format_report(args, cfg, rep, text))
-    return 0 if rep.passed else 1
+def _lemma1_text(r) -> str:
+    lines = [
+        f"lemma1: d_max {r.d_max}, radius {r.radius}, eps {frac_str(r.eps)}:"
+        f" {r.checked} sequences, {len(r.violations)} violations"
+    ]
+    lines += [
+        f"  VIOLATION weights {v.weights} (d={v.d}):"
+        f" min-product {v.min_product}, center {v.weights[r.radius]}"
+        for v in r.violations
+    ]
+    return "\n".join(lines)
+
+
+def _lemma2_text(r) -> str:
+    lines = [
+        f"lemma2: q up to {r.q_max}, {r.alpha_steps} alpha points,"
+        f" {r.eta_steps} eta points: {r.points} evaluations,"
+        f" {len(r.violations)} violations, {len(r.equalities)} equalities"
+    ]
+    lines += [
+        f"  VIOLATION q={p.q} alpha={frac_str(p.alpha)} k={p.k}"
+        f" eta={frac_str(p.eta)}: lhs {frac_str(p.lhs)} > rhs {frac_str(p.rhs)}"
+        for p in r.violations
+    ]
+    return "\n".join(lines)
+
+
+def _fourier_text(r) -> str:
+    lines = [
+        f"fourier: {r.trials} random symmetric sets"
+        f" ({r.odd_order_trials} odd-order), seed {r.seed}:"
+        f" {'PASS' if r.passed else 'FAIL'}",
+        f"  max prob error {r.max_prob_error:.3e} (tol {r.tol_prob:.1e});"
+        f" max t3 error {r.max_t3_error:.3e} (tol {r.tol_t3:.1e})",
+        f"  max plancherel residual {r.max_plancherel_residual:.3e}"
+        f" (tol {r.tol_plancherel:.1e});"
+        f" max symmetric imag {r.max_symmetric_imag:.3e}",
+    ]
+    lines += [f"  FAIL {f}" for f in r.failures]
+    return "\n".join(lines)
+
+
+class _Command(NamedTuple):
+    """How one command runs, judges and prints its report."""
+
+    run: Callable  # (args, cfg) -> report
+    ok: Callable  # report -> bool; False makes the exit status 1
+    text: Callable  # report -> str
+    csv: Callable | None  # report -> str; None: no CSV form
+    max_order: int | None  # default --max-order; None: no such flag
+
+
+def _always(report) -> bool:
+    return True
+
+
+# The run lambdas look the library functions up when called, not at import,
+# so wrappers installed on this module's attributes see every call.
+_COMMANDS = {
+    "compute": _Command(_run_compute, _always, _compute_text, None, None),
+    "structure": _Command(
+        lambda a, c: structure_report(_parse_set(parse_group(a.group), a.set), a.gamma),
+        _always, _structure_text, None, None,
+    ),
+    "search": _Command(
+        lambda a, c: extremal_search(
+            parse_group(a.group), a.size, a.objective, canonicalize=a.canonicalize,
+            witness_cap=a.witness_cap, gamma0=c.gamma0,
+        ),
+        _always, _search_text, None, None,
+    ),
+    # verify subcommands: exit 1 on any failure or violation
+    "theorem2": _Command(
+        lambda a, c: verify_theorem2(c.max_order, gamma0=c.gamma0, threads=c.threads),
+        lambda r: not r.failures, _theorem2_text,
+        lambda r: cases_csv(r, "max_value", "bound"), 15,
+    ),
+    "theorem1": _Command(
+        lambda a, c: verify_theorem1(c.max_order, threads=c.threads),
+        lambda r: not r.failures, _theorem1_text,
+        lambda r: cases_csv(r, "max_density", "term_bound"), 15,
+    ),
+    "gls": _Command(
+        lambda a, c: verify_gls(c.max_order, threads=c.threads),
+        lambda r: not r.failures, _gls_text,
+        lambda r: cases_csv(r, "max_triangles", "bound"), 16,
+    ),
+    "lemma1": _Command(
+        lambda a, c: bruteforce_scan(a.d_max, a.radius, a.eps, threads=c.threads),
+        lambda r: not r.violations, _lemma1_text, lemma1_csv, None,
+    ),
+    "lemma2": _Command(
+        lambda a, c: lemma2_scan(
+            a.q_max, a.alpha_steps, a.eta_steps, gamma0=c.gamma0, threads=c.threads
+        ),
+        lambda r: not r.violations, _lemma2_text, lemma2_csv, None,
+    ),
+    "fourier": _Command(
+        lambda a, c: random_crosscheck(
+            a.sets, c.max_order, a.max_factors, a.seed,
+            c.tolerance_spectral, a.tol_t3, a.tol_plancherel,
+        ),
+        lambda r: r.passed, _fourier_text, None, 512,
+    ),
+}
+
+
+def _run_command(args) -> int:
+    """Resolve the config, run the command, write its report, return the exit code."""
+    spec = _COMMANDS[args.suite if args.command == "verify" else args.command]
+    cfg = _resolve_config(args, spec.max_order)
+    report = spec.run(args, cfg)
+    if cfg.output_format == "json":
+        payload = report_json(report)
+    elif cfg.output_format == "csv":
+        if spec.csv is None:
+            raise ValueError("this command has no CSV form")
+        payload = spec.csv(report)
+    else:
+        payload = spec.text(report)
+    if not payload.endswith("\n"):
+        payload += "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+    return 0 if spec.ok(report) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +406,22 @@ def _cmd_verify_fourier(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_FLAGS = {
+    "--max-order": dict(type=int, dest="max_order", help="largest group order"),
+    "--threads": dict(help="worker count or 'auto'"),
+    "--gamma0": dict(help="override the constant floor (rational)"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *extra: str) -> None:
+    """--config, --format and --out, plus the named flags from _FLAGS."""
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--threads", help="worker count or 'auto'")
     parser.add_argument(
-        "--format", choices=["text", "json", "csv"], help="output format"
+        "--format", dest="output_format", choices=_FORMATS, help="output format"
     )
     parser.add_argument("--out", help="write the report to a file")
-    parser.add_argument("--gamma0", help="override the constant floor (rational)")
+    for flag in extra:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="comma-separated element indices")
     p.add_argument("--structure", action="store_true", help="attach the diagnostics")
     p.add_argument("--gamma", help="probed probability for --structure")
-    _add_common(p)
-    p.set_defaults(run=_cmd_compute)
+    _add_common(p, "--gamma0")
 
     p = sub.add_parser("search", help="exact extremal search at one size")
     p.add_argument("--group", required=True)
@@ -473,68 +447,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["prob", "t3density"], default="prob")
     p.add_argument("--canonicalize", action="store_true")
     p.add_argument("--witness-cap", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(run=_cmd_search)
+    _add_common(p, "--gamma0")
 
     p = sub.add_parser("structure", help="spectral concentration diagnostics")
     p.add_argument("--group", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--gamma", required=True, help="probed probability in (d/n, 1]")
     _add_common(p)
-    p.set_defaults(run=_cmd_structure)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
     p = vsub.add_parser("theorem2", help="sum-closure bound, exhaustive")
-    p.add_argument("--max-order", type=int, dest="max_order")
-    _add_common(p)
-    p.set_defaults(run=_cmd_verify_theorem2)
+    _add_common(p, "--max-order", "--threads", "--gamma0")
 
     p = vsub.add_parser("theorem1", help="progression density, odd orders")
-    p.add_argument("--max-order", type=int, dest="max_order")
-    _add_common(p)
-    p.set_defaults(run=_cmd_verify_theorem1)
+    _add_common(p, "--max-order", "--threads")
 
     p = vsub.add_parser("gls", help="Cayley triangle ceiling")
-    p.add_argument("--max-order", type=int, dest="max_order", default=None)
-    _add_common(p)
-    p.set_defaults(run=_cmd_verify_gls)
+    _add_common(p, "--max-order", "--threads")
 
     p = vsub.add_parser("lemma1", help="min-product concentration scan")
     p.add_argument("--d-max", type=int, dest="d_max", default=12)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--eps", default="99/1000")
-    _add_common(p)
-    p.set_defaults(run=_cmd_verify_lemma1)
+    _add_common(p, "--threads")
 
     p = vsub.add_parser("lemma2", help="induction inequality grid scan")
     p.add_argument("--q-max", type=int, dest="q_max", default=20)
     p.add_argument("--alpha-steps", type=int, dest="alpha_steps", default=101)
     p.add_argument("--eta-steps", type=int, dest="eta_steps", default=51)
-    _add_common(p)
-    p.set_defaults(run=_cmd_verify_lemma2)
+    _add_common(p, "--threads", "--gamma0")
 
     p = vsub.add_parser("fourier", help="random spectral-vs-direct crosscheck")
     p.add_argument("--sets", type=int, default=1000)
-    p.add_argument("--max-order", type=int, dest="max_order")
     p.add_argument("--max-factors", type=int, dest="max_factors", default=3)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--tol-t3", type=float, dest="tol_t3", default=1e-6)
     p.add_argument(
         "--tol-plancherel", type=float, dest="tol_plancherel", default=1e-10
     )
-    _add_common(p)
-    p.set_defaults(run=_cmd_verify_fourier)
+    _add_common(p, "--max-order")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return _run_command(args)
     except (ApxError, ValueError, OSError) as exc:
         print(f"apx: error: {exc}", file=sys.stderr)
         return 2

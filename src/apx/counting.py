@@ -14,14 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ApxError, EmptySetError, InvalidConnectionSetError
-from .group import (
-    GroupSpec,
-    add_table,
-    double_table,
-    halve_table,
-    neg_table,
-    sub_table,
-)
+from .group import GroupSpec, add_table, double_table, neg_table, sub_table
 
 
 @dataclass(frozen=True)
@@ -46,14 +39,6 @@ class SubsetMask:
             group._check_index(i)
             bits |= 1 << i
         return cls(group, bits)
-
-    @classmethod
-    def empty(cls, group: GroupSpec) -> "SubsetMask":
-        return cls(group, 0)
-
-    @classmethod
-    def full(cls, group: GroupSpec) -> "SubsetMask":
-        return cls(group, (1 << group.order) - 1)
 
     def indices(self) -> tuple[int, ...]:
         out = []
@@ -134,19 +119,6 @@ def direct_t3(s: SubsetMask) -> int:
     at_step = memb[rows]
     at_double = memb[rows[:, double_table(g)]]
     return int((at_step & at_double).sum(dtype=np.int64))
-
-
-def t3_halved(s: SubsetMask) -> int:
-    """Progression count by the midpoint route: sum of 1_S((x+y)/2) over S^2.
-
-    Equals direct_t3 whenever halving exists (odd-order groups).
-    """
-    half = halve_table(s.group)
-    if s.size == 0:
-        return 0
-    elems = np.array(s.indices(), dtype=np.int64)
-    mids = half[add_table(s.group)[np.ix_(elems, elems)]]
-    return int(_membership(s)[mids].sum(dtype=np.int64))
 
 
 def _require_connection_set(s: SubsetMask) -> None:

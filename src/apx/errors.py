@@ -17,10 +17,6 @@ class SymmetryRequiredError(ApxError):
     """The operation is only defined for symmetric inputs."""
 
 
-class HalvingUnavailableError(ApxError):
-    """Division by 2 needs every cyclic factor to have odd order."""
-
-
 class OddOrderRequiredError(ApxError):
     """Progression-density search runs on odd-order groups only."""
 

@@ -27,7 +27,7 @@ from .errors import (
     NoNonzeroFrequencyError,
     SymmetryRequiredError,
 )
-from .group import GroupSpec, make_group, neg_double_table, neg_table
+from .group import GroupSpec, make_group, neg_double_table, orbit_split
 from .util import as_fraction
 
 # Coefficients this close to the top value count as tied; FFT rounding on
@@ -53,13 +53,6 @@ def dft_indicator(s: SubsetMask) -> Spectrum:
     coeffs = np.fft.fftn(shaped, norm="forward").reshape(-1)
     coeffs.setflags(write=False)
     return Spectrum(group=g, coeffs=coeffs)
-
-
-def invert_spectrum(spectrum: Spectrum) -> np.ndarray:
-    """Pointwise reconstruction sum_m coeff[m] * e(+2*pi*i*<m,x>)."""
-    g = spectrum.group
-    shaped = spectrum.coeffs.reshape(tuple(reversed(g.moduli)))
-    return np.fft.ifftn(shaped, norm="forward").reshape(-1)
 
 
 def plancherel_residual(spectrum: Spectrum, size: int) -> float:
@@ -92,21 +85,15 @@ def t3_spectral(s: SubsetMask) -> float:
     return float(np.real(np.sum(c * c * paired)) * n * n)
 
 
-def top_nonzero_coefficient(spectrum: Spectrum, mode: str = "symmetric"):
+def top_nonzero_coefficient(spectrum: Spectrum):
     """The dominating coefficient away from frequency 0.
 
-    mode "symmetric" maximizes the real part (coefficients of a symmetric
-    set are real); mode "general" maximizes the modulus. Ties resolve to
-    the smallest mixed-radix index. Returns (m0, value).
+    Maximizes the real part (coefficients of a symmetric set are real).
+    Ties resolve to the smallest mixed-radix index. Returns (m0, value).
     """
     if spectrum.group.order < 2:
         raise NoNonzeroFrequencyError("the trivial group has no m != 0")
-    if mode == "symmetric":
-        values = spectrum.coeffs.real.copy()
-    elif mode == "general":
-        values = np.abs(spectrum.coeffs)
-    else:
-        raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
+    values = spectrum.coeffs.real.copy()
     values[0] = -np.inf
     top = values.max()
     m0 = int(np.flatnonzero(values >= top - _TIE_TOLERANCE)[0])
@@ -229,7 +216,7 @@ def structure_report(s: SubsetMask, gamma) -> StructureReport:
     beta = (gamma + 2 * nu * nu - nu - 1) / (nu * nu)
 
     spectrum = dft_indicator(s)
-    m0, coeff_value = top_nonzero_coefficient(spectrum, mode="symmetric")
+    m0, coeff_value = top_nonzero_coefficient(spectrum)
     g = character_reduction(s.group, m0)
     k = n // g
 
@@ -320,9 +307,7 @@ def _random_group(rng: random.Random, max_order: int, max_factors: int, odd: boo
 
 
 def _random_symmetric_subset(rng: random.Random, group: GroupSpec) -> SubsetMask:
-    nt = neg_table(group)
-    fixed = [x for x in range(group.order) if int(nt[x]) == x]
-    pairs = [(x, int(nt[x])) for x in range(group.order) if x < int(nt[x])]
+    fixed, pairs = orbit_split(group)
     while True:
         bits = 0
         for x in fixed:
@@ -348,8 +333,16 @@ def random_crosscheck(
 
     Half the trials force odd group order so the progression identity is
     exercised; every trial checks the probability identity and the energy
-    identity on a random symmetric subset.
+    identity on a random symmetric subset. Tolerances must be finite and
+    non-negative: a NaN would make every comparison pass.
     """
+    for name, tol in (
+        ("tol_prob", tol_prob),
+        ("tol_t3", tol_t3),
+        ("tol_plancherel", tol_plancherel),
+    ):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     rng = random.Random(seed)
     failures: list[str] = []
     max_prob_err = 0.0

@@ -7,8 +7,8 @@ with the first factor fastest:
 
 The same index space is used for subset bitmasks and for spectral
 coefficients, so everything downstream agrees on element numbering.
-Scalar arithmetic lives on GroupSpec; vectorized lookup tables for the
-hot loops are built lazily by the module-level table functions.
+Arithmetic goes through lookup tables built lazily by the module-level
+table functions.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-
-from .errors import HalvingUnavailableError
 
 # Fail fast on absurd presentations before any table gets allocated.
 _MAX_ORDER = 1 << 62
@@ -52,13 +50,6 @@ class GroupSpec:
         """Comma-separated moduli, e.g. "15" or "3,5"."""
         return ",".join(str(m) for m in self.moduli)
 
-    @property
-    def rank(self) -> int:
-        return len(self.moduli)
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def coords(self, a: int) -> tuple[int, ...]:
         self._check_index(a)
         out = []
@@ -79,24 +70,6 @@ class GroupSpec:
                 raise ValueError(f"coordinate {x!r} out of range for modulus {m}")
             acc = acc * m + x
         return acc
-
-    def add(self, a: int, b: int) -> int:
-        ca, cb = self.coords(a), self.coords(b)
-        return self.index(tuple((x + y) % m for x, y, m in zip(ca, cb, self.moduli)))
-
-    def neg(self, a: int) -> int:
-        return self.index(tuple((-x) % m for x, m in zip(self.coords(a), self.moduli)))
-
-    def halve(self, a: int) -> int:
-        """The unique b with b + b = a; defined only when every factor is odd."""
-        if self.order % 2 == 0 or any(m % 2 == 0 for m in self.moduli):
-            raise HalvingUnavailableError(
-                f"group {self.label} has an even factor; 2 is not invertible"
-            )
-        ca = self.coords(a)
-        return self.index(
-            tuple((x * ((m + 1) // 2)) % m for x, m in zip(ca, self.moduli))
-        )
 
     def exponent(self) -> int:
         return math.lcm(*self.moduli)
@@ -245,14 +218,16 @@ def neg_double_table(group: GroupSpec) -> np.ndarray:
     return _coordinate_scaling_table(group, lambda m: m - 2 if m > 1 else 0)
 
 
-@lru_cache(maxsize=256)
-def halve_table(group: GroupSpec) -> np.ndarray:
-    """Index map a -> a/2; only for groups of odd order."""
-    if group.order % 2 == 0 or any(m % 2 == 0 for m in group.moduli):
-        raise HalvingUnavailableError(
-            f"group {group.label} has an even factor; 2 is not invertible"
-        )
-    return _coordinate_scaling_table(group, lambda m: (m + 1) // 2)
+def orbit_split(group: GroupSpec):
+    """Split indices into involution-fixed points and {x, -x} pairs.
+
+    Both lists are in ascending index order (pairs by their smaller
+    element), which callers that draw random bits per orbit rely on.
+    """
+    nt = neg_table(group)
+    fixed = [x for x in range(group.order) if int(nt[x]) == x]
+    pairs = [(x, int(nt[x])) for x in range(group.order) if x < int(nt[x])]
+    return fixed, pairs
 
 
 @lru_cache(maxsize=256)

@@ -110,33 +110,22 @@ def _csv_string(header, rows) -> str:
     return buf.getvalue()
 
 
+def _cell(value):
+    """A CSV cell: exact rationals as "p/q", integers and strings as is."""
+    return frac_str(value) if isinstance(value, Fraction) else value
+
+
 _CASE_HEADER = ["group", "d", "q", "alpha", "max_value", "bound", "gap"]
 
 
-def theorem2_csv(report) -> str:
-    rows = [
-        [c.group, c.d, c.q, frac_str(c.alpha), frac_str(c.max_value),
-         frac_str(c.bound), frac_str(c.gap)]
-        for c in report.cases
-    ]
-    return _csv_string(_CASE_HEADER, rows)
-
-
-def theorem1_csv(report) -> str:
-    rows = [
-        [c.group, c.d, c.q, frac_str(c.alpha), frac_str(c.max_density),
-         frac_str(c.term_bound), frac_str(c.term_bound - c.max_density)]
-        for c in report.cases
-    ]
-    return _csv_string(_CASE_HEADER, rows)
-
-
-def gls_csv(report) -> str:
-    rows = [
-        [c.group, c.d, c.q, frac_str(c.alpha), c.max_triangles, c.bound,
-         c.bound - c.max_triangles]
-        for c in report.cases
-    ]
+def cases_csv(report, max_field: str, bound_field: str) -> str:
+    """One row per suite case; max_value and bound come from the named fields."""
+    rows = []
+    for c in report.cases:
+        high, bound = getattr(c, max_field), getattr(c, bound_field)
+        rows.append(
+            [_cell(v) for v in (c.group, c.d, c.q, c.alpha, high, bound, bound - high)]
+        )
     return _csv_string(_CASE_HEADER, rows)
 
 
@@ -153,9 +142,5 @@ def lemma1_csv(report) -> str:
 
 def lemma2_csv(report) -> str:
     header = ["q", "alpha", "k", "eta", "lhs", "rhs"]
-    rows = [
-        [p.q, frac_str(p.alpha), p.k, frac_str(p.eta), frac_str(p.lhs),
-         frac_str(p.rhs)]
-        for p in report.violations
-    ]
+    rows = [[_cell(getattr(p, f)) for f in header] for p in report.violations]
     return _csv_string(header, rows)

@@ -26,21 +26,13 @@ from .group import (
     add_table,
     dilation_perm,
     enumerate_abelian_groups,
-    neg_table,
+    orbit_split,
     units,
 )
 from .util import pmap
 
 
-def _orbit_split(group: GroupSpec):
-    """Split indices into involution-fixed points and {x, -x} pairs."""
-    nt = neg_table(group)
-    fixed = [x for x in range(group.order) if int(nt[x]) == x]
-    pairs = [(x, int(nt[x])) for x in range(group.order) if x < int(nt[x])]
-    return fixed, pairs
-
-
-def _symmetric_bits(group: GroupSpec, fixed, pairs, d: int):
+def _symmetric_bits(fixed, pairs, d: int):
     """All symmetric bitmasks of size d built from the given orbits."""
     for k in range(d & 1, min(len(fixed), d) + 1, 2):
         pair_count = (d - k) // 2
@@ -61,8 +53,8 @@ def enumerate_symmetric_subsets(group: GroupSpec, d: int):
     """Yield every S with S = -S and |S| = d, each exactly once."""
     if not 0 <= d <= group.order:
         raise ValueError(f"subset size {d} out of range for order {group.order}")
-    fixed, pairs = _orbit_split(group)
-    for bits in _symmetric_bits(group, fixed, pairs, d):
+    fixed, pairs = orbit_split(group)
+    for bits in _symmetric_bits(fixed, pairs, d):
         yield SubsetMask(group, bits)
 
 
@@ -191,6 +183,22 @@ def extremal_search(
     )
 
 
+def _sweep(task, max_order: int, threads: int, odd_only: bool = False):
+    """Run a per-group case function over every group up to max_order.
+
+    task must pickle (a module-level function or a partial of one) for
+    threads > 1. Returns the group count and all cases in group order.
+    """
+    lowest = 3 if odd_only else 2
+    if max_order < lowest:
+        raise ValueError(f"max_order must be >= {lowest}")
+    groups = enumerate_abelian_groups(max_order)
+    if odd_only:
+        groups = [g for g in groups if g.order % 2 == 1]
+    chunks = pmap(task, groups, threads)
+    return len(groups), [case for chunk in chunks for case in chunk]
+
+
 # ---------------------------------------------------------------------------
 # Suite: sum-closure bound over every group and size (theorem2).
 # ---------------------------------------------------------------------------
@@ -245,20 +253,16 @@ def verify_theorem2(
     max_order: int = 15, gamma0=GAMMA0, threads: int = 1
 ) -> Theorem2Report:
     """Exhaustively check max Prob[S] <= closure_bound for every (group, d)."""
-    if max_order < 2:
-        raise ValueError("max_order must be >= 2")
-    groups = enumerate_abelian_groups(max_order)
-    chunks = pmap(partial(_theorem2_group_cases, gamma0=gamma0), groups, threads)
-    cases = [case for chunk in chunks for case in chunk]
-    failures = [case for case in cases if case.max_value > case.bound]
-    worst_gap = min((case.gap for case in cases), default=None)
+    groups, cases = _sweep(
+        partial(_theorem2_group_cases, gamma0=gamma0), max_order, threads
+    )
     return Theorem2Report(
         max_order=max_order,
         gamma0=gamma0,
-        groups=len(groups),
+        groups=groups,
         cases=cases,
-        failures=failures,
-        worst_gap=worst_gap,
+        failures=[case for case in cases if case.max_value > case.bound],
+        worst_gap=min((case.gap for case in cases), default=None),
     )
 
 
@@ -324,18 +328,13 @@ def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
     algebraic branches pass that way; the rest feed the reported empirical
     constant (None when no case needs one, the situation at desk scale).
     """
-    if max_order < 3:
-        raise ValueError("max_order must be >= 3")
-    groups = [g for g in enumerate_abelian_groups(max_order) if g.order % 2 == 1]
-    chunks = pmap(_theorem1_group_cases, groups, threads)
-    cases = [case for chunk in chunks for case in chunk]
-    failures = [case for case in cases if case.max_density > 1]
+    groups, cases = _sweep(_theorem1_group_cases, max_order, threads, odd_only=True)
     gamma1_densities = [c.max_density for c in cases if c.regime == "gamma1"]
     return Theorem1Report(
         max_order=max_order,
-        groups=len(groups),
+        groups=groups,
         cases=cases,
-        failures=failures,
+        failures=[case for case in cases if case.max_density > 1],
         worst_gap=min((1 - case.max_density for case in cases), default=None),
         empirical_gamma1=max(gamma1_densities, default=None),
     )
@@ -374,7 +373,7 @@ class GlsReport:
 
 def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
     n = group.order
-    fixed, pairs = _orbit_split(group)
+    fixed, pairs = orbit_split(group)
     fixed_nonzero = [x for x in fixed if x != 0]
     out = []
     for d in range(0, n):
@@ -384,7 +383,7 @@ def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
         max_triangles = -1
         witness = ""
         holds = True
-        for bits in _symmetric_bits(group, fixed_nonzero, pairs, d):
+        for bits in _symmetric_bits(fixed_nonzero, pairs, d):
             s = SubsetMask(group, bits)
             triangles = cayley_triangles_direct(s)
             sets += 1
@@ -420,19 +419,13 @@ def verify_gls(max_order: int = 16, threads: int = 1) -> GlsReport:
     Cases with q >= 7 are asserted (the proven regime); smaller q is outside
     it, so those cases are only logged with their empirical outcome.
     """
-    if max_order < 2:
-        raise ValueError("max_order must be >= 2")
-    groups = enumerate_abelian_groups(max_order)
-    chunks = pmap(_gls_group_cases, groups, threads)
-    cases = [case for chunk in chunks for case in chunk]
-    failures = [c for c in cases if c.regime == "asserted" and not c.holds]
-    logged = [c for c in cases if c.regime == "logged"]
+    groups, cases = _sweep(_gls_group_cases, max_order, threads)
     return GlsReport(
         max_order=max_order,
-        groups=len(groups),
+        groups=groups,
         sets_total=sum(c.sets for c in cases),
         asserted_sets=sum(c.sets for c in cases if c.regime == "asserted"),
         cases=cases,
-        failures=failures,
-        logged=logged,
+        failures=[c for c in cases if c.regime == "asserted" and not c.holds],
+        logged=[c for c in cases if c.regime == "logged"],
     )

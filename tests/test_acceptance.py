@@ -27,7 +27,8 @@ from apx import (
 from apx.bounds import base_case_bound, lemma2_scan, size_profile
 from apx.fourier import random_crosscheck
 from apx.lemma1 import IntWeightSeq
-from apx.search import _orbit_split, _symmetric_bits
+from apx.group import orbit_split
+from apx.search import _symmetric_bits
 
 
 def _report(number: int, passed: bool, detail: str) -> None:
@@ -62,10 +63,10 @@ def test_criterion_2_triangle_crossvalidation():
     started = time.monotonic()
     sets = 0
     for g in enumerate_abelian_groups(12):
-        fixed, pairs = _orbit_split(g)
+        fixed, pairs = orbit_split(g)
         fixed_nonzero = [x for x in fixed if x != 0]
         for d in range(0, g.order):
-            for bits in _symmetric_bits(g, fixed_nonzero, pairs, d):
+            for bits in _symmetric_bits(fixed_nonzero, pairs, d):
                 s = SubsetMask(g, bits)
                 assert cayley_triangles_direct(s) == cayley_triangles_formula(s)
                 if s.size:

@@ -159,6 +159,59 @@ def test_bad_config_rejected(tmp_path, capsys):
     assert "nonsense_key" in err
 
 
+def test_bad_output_format_in_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "apx.cfg"
+    cfg.write_text("output_format = yaml\n")
+    code, out, err = run(capsys, "verify", "theorem2", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "output_format" in err and "yaml" in err
+
+
+def test_max_order_precedence(tmp_path, capsys):
+    cfg = tmp_path / "apx.cfg"
+    cfg.write_text("max_order = 6\n")
+    for suite, extra in [("gls", ()), ("fourier", ("--sets", "2"))]:
+        argv = ("verify", suite, *extra, "--format", "json")
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and json.loads(out)["max_order"] == 6
+        code, out, _ = run(capsys, *argv, "--config", str(cfg), "--max-order", "5")
+        assert code == 0 and json.loads(out)["max_order"] == 5
+    defaults = {"theorem2": 15, "theorem1": 15, "gls": 16, "fourier": 512}
+    for suite, depth in defaults.items():
+        extra = ("--sets", "2") if suite == "fourier" else ()
+        code, out, _ = run(capsys, "verify", suite, *extra, "--format", "json")
+        assert code == 0 and json.loads(out)["max_order"] == depth
+
+
+def test_bad_spectral_tolerances_exit_2(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "verify", "fourier", "--sets", "4", "--tol-t3", "nan",
+        "--tol-plancherel", "nan",
+    )
+    assert code == 2 and out == "" and "tol_t3" in err
+    code, _, err = run(capsys, "verify", "fourier", "--sets", "4", "--tol-t3=-1e-6")
+    assert code == 2 and "tol_t3" in err
+    cfg = tmp_path / "apx.cfg"
+    cfg.write_text("tolerance_spectral = -1e-9\n")
+    code, _, err = run(capsys, "verify", "fourier", "--sets", "4", "--config", str(cfg))
+    assert code == 2 and "tol_prob" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "gls", "--gamma0", "1/2"),
+        ("verify", "fourier", "--threads", "2"),
+        ("structure", "--group", "5", "--set", "1,4", "--gamma", "1", "--threads", "2"),
+    ],
+)
+def test_flags_a_command_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_env_threads_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("APX_THREADS", "2")
     code, out, _ = run(
@@ -185,16 +238,13 @@ def test_malformed_inputs_exit_2(capsys):
 
 
 def test_threads_auto(capsys):
-    code, out, _ = run(
-        capsys, "verify", "theorem2", "--max-order", "6", "--threads", "auto",
-        "--format", "json",
-    )
-    assert code == 0
-    baseline = json.loads(out)
-    code, out2, _ = run(
-        capsys, "verify", "theorem2", "--max-order", "6", "--format", "json"
-    )
-    assert json.loads(out2) == baseline
+    for suite, threads in [("theorem2", "auto"), ("theorem1", "2"), ("gls", "2")]:
+        argv = ("verify", suite, "--max-order", "9", "--format", "json")
+        code, out, _ = run(capsys, *argv, "--threads", threads)
+        assert code == 0
+        code, serial, _ = run(capsys, *argv, "--threads", "1")
+        assert code == 0
+        assert serial == out
 
 
 def test_gamma0_flag(capsys):

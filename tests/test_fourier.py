@@ -10,7 +10,6 @@ from apx import (
     EmptySetError,
     MuUndefinedError,
     NoNonzeroFrequencyError,
-    SubsetMask,
     SymmetryRequiredError,
     dft_indicator,
     direct_prob,
@@ -25,12 +24,11 @@ from apx import (
 from apx.fourier import (
     character_reduction,
     character_values,
-    invert_spectrum,
     plancherel_residual,
     random_crosscheck,
 )
 
-from conftest import mask
+from conftest import empty, full, mask
 from test_counting import random_subset, random_symmetric_subset
 
 
@@ -46,6 +44,13 @@ def naive_coefficient(s, m):
     return total / g.order
 
 
+def invert_spectrum(spectrum):
+    """Pointwise reconstruction sum_m coeff[m] * e(+2*pi*i*<m,x>)."""
+    g = spectrum.group
+    shaped = spectrum.coeffs.reshape(tuple(reversed(g.moduli)))
+    return np.fft.ifftn(shaped, norm="forward").reshape(-1)
+
+
 def test_dft_subgroup_example():
     s = mask([15], [0, 5, 10])
     coeffs = dft_indicator(s).coeffs
@@ -56,9 +61,9 @@ def test_dft_subgroup_example():
 
 def test_dft_trivial_examples():
     g = make_group([8])
-    full = dft_indicator(SubsetMask.full(g)).coeffs
-    assert abs(full[0] - 1) < 1e-12
-    assert np.max(np.abs(full[1:])) < 1e-12
+    whole = dft_indicator(full(g)).coeffs
+    assert abs(whole[0] - 1) < 1e-12
+    assert np.max(np.abs(whole[1:])) < 1e-12
     single = dft_indicator(mask([8], [0])).coeffs
     assert np.max(np.abs(single - 1 / 8)) < 1e-14
 
@@ -106,15 +111,15 @@ def test_prob_spectral_examples():
     with pytest.raises(SymmetryRequiredError):
         prob_spectral(mask([6], [1, 2]))
     with pytest.raises(EmptySetError):
-        prob_spectral(SubsetMask.empty(make_group([6])))
+        prob_spectral(empty(make_group([6])))
 
 
 def test_t3_spectral_examples():
-    assert abs(t3_spectral(SubsetMask.full(make_group([5]))) - 25) < 1e-6
+    assert abs(t3_spectral(full(make_group([5]))) - 25) < 1e-6
     assert abs(t3_spectral(mask([7], [0, 1, 2])) - 5) < 1e-6
     assert abs(t3_spectral(mask([5], [0])) - 1) < 1e-6
     with pytest.raises(EmptySetError):
-        t3_spectral(SubsetMask.empty(make_group([5])))
+        t3_spectral(empty(make_group([5])))
 
 
 def test_spectral_matches_direct_random():
@@ -134,7 +139,7 @@ def test_top_coefficient_tie_break():
 
 
 def test_top_coefficient_full_set():
-    m0, value = top_nonzero_coefficient(dft_indicator(SubsetMask.full(make_group([6]))))
+    m0, value = top_nonzero_coefficient(dft_indicator(full(make_group([6]))))
     assert m0 == 1
     assert abs(value) < 1e-12
 
@@ -142,13 +147,12 @@ def test_top_coefficient_full_set():
 def test_top_coefficient_symmetric_vs_general():
     s = mask([7], [0, 1, 6])
     spectrum = dft_indicator(s)
-    m0, value = top_nonzero_coefficient(spectrum, mode="symmetric")
+    m0, value = top_nonzero_coefficient(spectrum)
     assert m0 == 1
     assert abs(value - (1 + 2 * math.cos(2 * math.pi / 7)) / 7) < 1e-12
-    m0g, valueg = top_nonzero_coefficient(spectrum, mode="general")
-    assert m0g == 1 and abs(valueg - value) < 1e-12
-    with pytest.raises(ValueError):
-        top_nonzero_coefficient(spectrum, mode="nope")
+    # the largest modulus away from 0 sits at the same frequency here
+    moduli = np.abs(spectrum.coeffs[1:])
+    assert 1 + int(np.argmax(moduli)) == m0 and abs(moduli.max() - value) < 1e-12
     with pytest.raises(NoNonzeroFrequencyError):
         top_nonzero_coefficient(dft_indicator(mask([1], [0])))
 
@@ -165,7 +169,7 @@ def test_character_reduction_product_group():
     # character (x1, x2) -> e(2 pi i (x1/2 + x2/2)) has order 2, so g = 8/2.
     assert character_reduction(g, m0) == 4
     values = character_values(g, m0)
-    for x in g.elements():
+    for x in range(g.order):
         x1, x2 = g.coords(x)
         # v(x) = m1*x1*(n/n1) + m2*x2*(n/n2) = 4*x1 + 4*x2
         assert int(values[x]) == (4 * x1 + 4 * x2) % 8
@@ -224,7 +228,7 @@ def test_structure_report_guards():
     with pytest.raises(ValueError):
         structure_report(s, Fraction(11, 10))
     with pytest.raises(ValueError):
-        structure_report(SubsetMask.full(make_group([6])), 1)
+        structure_report(full(make_group([6])), 1)
     with pytest.raises(SymmetryRequiredError):
         structure_report(mask([6], [1, 2]), 1)
 

@@ -8,12 +8,12 @@ from apx.bounds import lemma2_scan
 from apx.counting import SubsetMask
 from apx.lemma1 import bruteforce_scan
 from apx.report import (
+    cases_csv,
     dumps_canonical,
     frac_str,
     lemma1_csv,
     lemma2_csv,
     report_json,
-    theorem2_csv,
     to_jsonable,
 )
 
@@ -54,7 +54,7 @@ def test_json_round_trip_is_identity():
 
 def test_theorem2_csv_shape():
     rep = verify_theorem2(5)
-    lines = theorem2_csv(rep).strip().split("\n")
+    lines = cases_csv(rep, "max_value", "bound").strip().split("\n")
     assert lines[0] == "group,d,q,alpha,max_value,bound,gap"
     assert len(lines) == len(rep.cases) + 1
     # the trivial group case: d = n = 1, max = bound = 1
