@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from .errors import ApxError, OutOfLemmaRangeError
 from .util import as_fraction, pmap
 
@@ -55,17 +57,27 @@ def _check_profile_args(q: int, alpha: Fraction) -> Fraction:
     return alpha
 
 
+def _branches(q, alpha):
+    """The two algebraic branches (term1, term2) of closure_bound.
+
+    Plain arithmetic: exact on an int q and a Fraction alpha, elementwise on
+    numpy arrays (the lemma2 screen evaluates it on float grids).
+    """
+    term1 = (q * q - alpha * q + alpha * alpha) / (q * q)
+    term2 = (q * q + 2 * alpha * q + 4 * alpha * alpha - 6 * alpha + 3) / (
+        (q + 1) * (q + 1)
+    )
+    return term1, term2
+
+
 def bound_term1(q: int, alpha) -> Fraction:
     """(q^2 - alpha*q + alpha^2) / q^2, tight near unions of q cosets."""
-    alpha = _check_profile_args(q, alpha)
-    return Fraction(q * q - alpha * q + alpha * alpha) / (q * q)
+    return _branches(q, _check_profile_args(q, alpha))[0]
 
 
 def bound_term2(q: int, alpha) -> Fraction:
     """(q^2 + 2*alpha*q + 4*alpha^2 - 6*alpha + 3) / (q+1)^2."""
-    alpha = _check_profile_args(q, alpha)
-    num = q * q + 2 * alpha * q + 4 * alpha * alpha - 6 * alpha + 3
-    return Fraction(num) / ((q + 1) * (q + 1))
+    return _branches(q, _check_profile_args(q, alpha))[1]
 
 
 def closure_bound(q: int, alpha, gamma0=GAMMA0) -> BoundValue:
@@ -75,16 +87,12 @@ def closure_bound(q: int, alpha, gamma0=GAMMA0) -> BoundValue:
     the constant floor has no pinned numeric value). Ties resolve to the
     earliest branch in (term1, term2, gamma0).
     """
-    t1 = bound_term1(q, alpha)
-    t2 = bound_term2(q, alpha)
-    branches = [("term1", t1), ("term2", t2)]
+    alpha = _check_profile_args(q, alpha)
+    branches = list(zip(("term1", "term2"), _branches(q, alpha)))
     if gamma0 is not None:
         branches.append(("gamma0", as_fraction(gamma0)))
+    # max keeps the first of several maximal items, which is the tie rule.
     name, value = max(branches, key=lambda item: item[1])
-    for earlier_name, earlier_value in branches:
-        if earlier_value == value:
-            name = earlier_name
-            break
     return BoundValue(value=value, active_branch=name)
 
 
@@ -134,8 +142,7 @@ def gls_sufficiency(q: int, alpha, gamma0=GAMMA0) -> GlsSufficiency:
     """
     alpha = _check_profile_args(q, alpha)
     threshold = Fraction(q + alpha**3) / (q + alpha)
-    diff1 = threshold - bound_term1(q, alpha)
-    diff2 = threshold - bound_term2(q, alpha)
+    diff1, diff2 = (threshold - term for term in _branches(q, alpha))
     closed1 = alpha**3 * (q * q - 1) / (q * q * (q + alpha))
     closed2 = (
         (1 - alpha) ** 2
@@ -266,47 +273,35 @@ def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
 
     Grid values are exact; a float pre-screen skips points that are safely
     below the ceiling, and every point at or near the boundary is re-checked
-    in exact rationals, so all reported verdicts are exact.
+    in exact rationals, so all reported verdicts are exact. The screen works
+    on one alpha row of q * eta_steps (k, eta) points at a time.
     """
     gamma0 = as_fraction(gamma0)
     g0f = float(gamma0)
-    alphas = _alpha_grid(alpha_steps)
     etas = _eta_grid(eta_steps)
-    eta_num_den = [(e.numerator, e.denominator, float(e)) for e in etas]
+    # alpha = i / a_den and eta = e_num / e_den, so q' is an exact integer floor.
+    a_den = alpha_steps - 1
+    e_den = 4 * eta_steps
+    e_num = 3 * eta_steps + np.arange(1, eta_steps + 1, dtype=np.int64)
+    e_f = e_num / e_den
+    eta_sq = e_f * e_f
+    tail = 3 * (1 - e_f) * (1 - e_f)
+    den = a_den * np.arange(1, q + 1, dtype=np.int64)[:, None] * e_num
     violations = []
     equalities = []
-    points = 0
-    for alpha in alphas:
-        rhs = closure_bound(q, alpha, gamma0).value
-        rhs_f = float(rhs)
-        a_num, a_den = alpha.numerator, alpha.denominator
-        for k in range(1, q + 1):
-            for eta, (e_num, e_den, e_f) in zip(etas, eta_num_den):
-                points += 1
-                # ratio = (q + alpha) / (k * eta) as an integer pair
-                num = (q * a_den + a_num) * e_den
-                den = a_den * k * e_num
-                q_prime = num // den
-                ap_f = num / den - q_prime
-                t1 = (q_prime * q_prime - ap_f * q_prime + ap_f * ap_f) / (
-                    q_prime * q_prime
-                )
-                t2 = (
-                    q_prime * q_prime
-                    + 2 * ap_f * q_prime
-                    + 4 * ap_f * ap_f
-                    - 6 * ap_f
-                    + 3
-                ) / ((q_prime + 1) * (q_prime + 1))
-                lhs_f = e_f * e_f * max(t1, t2, g0f) + 3 * (1 - e_f) * (1 - e_f)
-                if lhs_f - rhs_f < _SCREEN_MARGIN:
-                    continue
-                point = lemma2_check(q, alpha, k, eta, gamma0)
-                if not point.holds_le:
-                    violations.append(point)
-                elif point.lhs == point.rhs:
-                    equalities.append(point)
-    return points, violations, equalities
+    for i, alpha in enumerate(_alpha_grid(alpha_steps)):
+        rhs_f = float(closure_bound(q, alpha, gamma0).value)
+        num = (q * a_den + i) * e_den
+        q_prime = num // den
+        term1, term2 = _branches(q_prime, num / den - q_prime)
+        lhs_f = eta_sq * np.maximum(np.maximum(term1, term2), g0f) + tail
+        for k0, j in zip(*np.nonzero(lhs_f - rhs_f >= _SCREEN_MARGIN)):
+            point = lemma2_check(q, alpha, int(k0) + 1, etas[j], gamma0)
+            if not point.holds_le:
+                violations.append(point)
+            elif point.lhs == point.rhs:
+                equalities.append(point)
+    return alpha_steps * q * eta_steps, violations, equalities
 
 
 def lemma2_scan(

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ApxError, EmptySetError, InvalidConnectionSetError
-from .group import GroupSpec, add_table, double_table, neg_table, sub_table
+from .group import GroupSpec, add_table, double_table, neg_table
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ class SubsetMask:
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.group.order and (self.bits >> i) & 1 == 1
 
-    def __iter__(self):
-        return iter(self.indices())
-
     @property
     def contains_zero(self) -> bool:
         return self.bits & 1 == 1
@@ -82,20 +79,21 @@ class SubsetMask:
         return "{" + ",".join(str(i) for i in self.indices()) + "}"
 
 
-def _membership(s: SubsetMask) -> np.ndarray:
+def _decode(s: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
+    """(element indices, 0/1 membership over the group) from one decode of s."""
+    elems = np.array(s.indices(), dtype=np.int64)
     memb = np.zeros(s.group.order, dtype=np.uint8)
-    if s.bits:
-        memb[np.array(s.indices(), dtype=np.int64)] = 1
-    return memb
+    memb[elems] = 1
+    return elems, memb
 
 
 def sum_closure_count(s: SubsetMask) -> int:
     """#{(x, y) in S^2 : x + y in S}, the numerator of direct_prob."""
     if s.size == 0:
         return 0
-    elems = np.array(s.indices(), dtype=np.int64)
+    elems, memb = _decode(s)
     block = add_table(s.group)[np.ix_(elems, elems)]
-    return int(_membership(s)[block].sum(dtype=np.int64))
+    return int(memb[block].sum(dtype=np.int64))
 
 
 def direct_prob(s: SubsetMask) -> Fraction:
@@ -114,8 +112,8 @@ def direct_t3(s: SubsetMask) -> int:
     if s.size == 0:
         return 0
     g = s.group
-    memb = _membership(s)
-    rows = add_table(g)[np.array(s.indices(), dtype=np.int64)]
+    elems, memb = _decode(s)
+    rows = add_table(g)[elems]
     at_step = memb[rows]
     at_double = memb[rows[:, double_table(g)]]
     return int((at_step & at_double).sum(dtype=np.int64))
@@ -133,11 +131,15 @@ def cayley_triangles_direct(s: SubsetMask) -> int:
 
     Counts closed 3-walks of the actual adjacency matrix (exact integer
     cube) and divides by 6; never consults the sum-closure probability.
+    Row -a of the addition table holds b - a, so the row-permuted gather
+    below is the adjacency 1_S(b - a).
     """
     _require_connection_set(s)
     if s.size == 0:
         return 0
-    adj = _membership(s)[sub_table(s.group)].astype(np.int64)
+    g = s.group
+    _, memb = _decode(s)
+    adj = memb[add_table(g)][neg_table(g)].astype(np.int64)
     closed_walks = int(((adj @ adj) * adj).sum(dtype=np.int64))
     if closed_walks % 6:
         raise ApxError("internal: closed 3-walk count not divisible by 6")

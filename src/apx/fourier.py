@@ -20,14 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import closure_bound
-from .counting import SubsetMask, direct_prob, direct_t3
+from .counting import SubsetMask, _decode, direct_prob, direct_t3
 from .errors import (
     EmptySetError,
     MuUndefinedError,
     NoNonzeroFrequencyError,
     SymmetryRequiredError,
 )
-from .group import GroupSpec, make_group, neg_double_table, orbit_split
+from .group import GroupSpec, double_table, make_group, neg_table, orbit_split
 from .util import as_fraction
 
 # Coefficients this close to the top value count as tied; FFT rounding on
@@ -46,10 +46,8 @@ class Spectrum:
 def dft_indicator(s: SubsetMask) -> Spectrum:
     """Fourier coefficients of 1_S, indexed by the shared mixed-radix space."""
     g = s.group
-    flat = np.zeros(g.order, dtype=np.complex128)
-    if s.bits:
-        flat[np.array(s.indices(), dtype=np.int64)] = 1.0
-    shaped = flat.reshape(tuple(reversed(g.moduli)))
+    _, memb = _decode(s)
+    shaped = memb.astype(np.complex128).reshape(tuple(reversed(g.moduli)))
     coeffs = np.fft.fftn(shaped, norm="forward").reshape(-1)
     coeffs.setflags(write=False)
     return Spectrum(group=g, coeffs=coeffs)
@@ -80,7 +78,7 @@ def t3_spectral(s: SubsetMask) -> float:
     if s.size == 0:
         raise EmptySetError("spectral progression count needs a non-empty set")
     c = dft_indicator(s).coeffs
-    paired = c[neg_double_table(s.group)]
+    paired = c[neg_table(s.group)[double_table(s.group)]]
     n = s.group.order
     return float(np.real(np.sum(c * c * paired)) * n * n)
 
@@ -137,12 +135,6 @@ class WeightSeq:
 
     def weight(self, i: int) -> int:
         return self.weights.get(_centered(i % self.modulus, self.modulus), 0)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return all(
-            count == self.weight(-i) for i, count in self.weights.items()
-        )
 
 
 def residue_weights(s: SubsetMask, m0: int) -> WeightSeq:
@@ -336,6 +328,13 @@ def random_crosscheck(
     identity on a random symmetric subset. Tolerances must be finite and
     non-negative: a NaN would make every comparison pass.
     """
+    for name, value, least in (
+        ("trials", trials, 1),
+        ("max_order", max_order, 2),
+        ("max_factors", max_factors, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
     for name, tol in (
         ("tol_prob", tol_prob),
         ("tol_t3", tol_t3),

@@ -20,8 +20,13 @@ from itertools import product
 
 import numpy as np
 
+from .errors import ApxError
+
 # Fail fast on absurd presentations before any table gets allocated.
 _MAX_ORDER = 1 << 62
+
+# Largest int64 addition table add_table builds: 64 MiB, order <= 2896.
+_MAX_TABLE_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -57,19 +62,6 @@ class GroupSpec:
             a, r = divmod(a, m)
             out.append(r)
         return tuple(out)
-
-    def index(self, coords) -> int:
-        coords = tuple(coords)
-        if len(coords) != len(self.moduli):
-            raise ValueError(
-                f"expected {len(self.moduli)} coordinates, got {len(coords)}"
-            )
-        acc = 0
-        for m, x in zip(reversed(self.moduli), reversed(coords)):
-            if not isinstance(x, int) or not 0 <= x < m:
-                raise ValueError(f"coordinate {x!r} out of range for modulus {m}")
-            acc = acc * m + x
-        return acc
 
     def exponent(self) -> int:
         return math.lcm(*self.moduli)
@@ -176,20 +168,17 @@ def _axis_values(group: GroupSpec):
 
 @lru_cache(maxsize=32)
 def add_table(group: GroupSpec) -> np.ndarray:
-    """n x n table with add_table(G)[a, b] = a + b."""
+    """n x n table with add_table(G)[a, b] = a + b, at most _MAX_TABLE_BYTES."""
+    nbytes = 8 * group.order * group.order
+    if nbytes > _MAX_TABLE_BYTES:
+        raise ApxError(
+            f"the addition table of group {group.label} (order {group.order}) "
+            f"needs {nbytes} bytes ({nbytes / 2**30:.1f} GiB), over the "
+            f"{_MAX_TABLE_BYTES}-byte ceiling"
+        )
     table = np.zeros((group.order, group.order), dtype=np.int64)
     for stride, x, m in _axis_values(group):
         table += stride * ((x[:, None] + x[None, :]) % m)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=32)
-def sub_table(group: GroupSpec) -> np.ndarray:
-    """n x n table with sub_table(G)[a, b] = a - b."""
-    table = np.zeros((group.order, group.order), dtype=np.int64)
-    for stride, x, m in _axis_values(group):
-        table += stride * ((x[:, None] - x[None, :]) % m)
     table.setflags(write=False)
     return table
 
@@ -210,12 +199,6 @@ def neg_table(group: GroupSpec) -> np.ndarray:
 @lru_cache(maxsize=256)
 def double_table(group: GroupSpec) -> np.ndarray:
     return _coordinate_scaling_table(group, lambda m: 2)
-
-
-@lru_cache(maxsize=256)
-def neg_double_table(group: GroupSpec) -> np.ndarray:
-    """Index map a -> -2a, used to pair spectral coefficients."""
-    return _coordinate_scaling_table(group, lambda m: m - 2 if m > 1 else 0)
 
 
 def orbit_split(group: GroupSpec):

@@ -47,11 +47,6 @@ class IntWeightSeq:
         half = tuple(half)
         return cls(len(half), tuple(reversed(half)) + (center,) + half)
 
-    def weight(self, j: int) -> int:
-        if abs(j) > self.radius:
-            return 0
-        return self.weights[j + self.radius]
-
     @property
     def center(self) -> int:
         return self.weights[self.radius]

@@ -129,7 +129,7 @@ def extremal_search(
     profile = size_profile(group.order, d)
     if objective == "prob":
         bound = closure_bound(profile.q, profile.alpha, gamma0)
-        candidates = (s.bits for s in enumerate_symmetric_subsets(group, d))
+        candidates = _symmetric_bits(*orbit_split(group), d)
         perms = _prob_orbit_perms(group) if canonicalize else None
 
         def evaluate(s: SubsetMask) -> Fraction:

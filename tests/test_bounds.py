@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -222,3 +223,23 @@ def test_lemma2_check_ratio_floor_boundary():
         p = lemma2_check(q, 0, q, 1)
         assert p.q_prime == 1 and p.alpha_prime == 0
         assert p.holds_le
+
+
+def test_lemma2_screen_never_skips_a_boundary_point():
+    # The float screen may only drop points that are strictly below the
+    # ceiling: every sampled grid point with lhs >= rhs, checked exactly
+    # here, must be among the scan's equalities or violations.
+    q_max, alpha_steps, eta_steps = 8, 101, 51
+    rep = lemma2_scan(q_max, alpha_steps, eta_steps)
+    flagged = {(p.q, p.alpha, p.k, p.eta) for p in rep.equalities + rep.violations}
+    alphas, etas = _alpha_grid(alpha_steps), _eta_grid(eta_steps)
+    rng = random.Random(2018)
+    boundary = 0
+    for _ in range(2000):
+        q = rng.randint(2, q_max)
+        key = (q, rng.choice(alphas), rng.randint(1, q), rng.choice(etas))
+        p = lemma2_check(*key)
+        if p.lhs >= p.rhs:
+            boundary += 1
+            assert key in flagged
+    assert boundary > 0

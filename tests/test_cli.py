@@ -196,6 +196,14 @@ def test_bad_spectral_tolerances_exit_2(tmp_path, capsys):
     cfg.write_text("tolerance_spectral = -1e-9\n")
     code, _, err = run(capsys, "verify", "fourier", "--sets", "4", "--config", str(cfg))
     assert code == 2 and "tol_prob" in err
+    for flag, value, name in (
+        ("--sets", "-5", "trials"),
+        ("--sets", "0", "trials"),
+        ("--max-order", "1", "max_order"),
+        ("--max-factors", "0", "max_factors"),
+    ):
+        code, out, err = run(capsys, "verify", "fourier", flag, value)
+        assert code == 2 and out == "" and name in err
 
 
 @pytest.mark.parametrize(
@@ -235,6 +243,8 @@ def test_malformed_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "compute", "--group", "5", "--set", "1", "--format", "csv")
     assert code == 2
+    code, out, err = run(capsys, "compute", "--group", "131072", "--set", "1")
+    assert code == 2 and out == "" and "addition table" in err
 
 
 def test_threads_auto(capsys):

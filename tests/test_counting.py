@@ -112,7 +112,7 @@ def test_direct_prob_examples():
 
 def test_direct_prob_against_brute():
     rng = random.Random(23)
-    for moduli in [(7,), (2, 4), (3, 3), (12,)]:
+    for moduli in [(7,), (2, 4), (3, 3), (12,), (1,), (1, 5), (2, 1, 2), (2, 2, 3)]:
         g = make_group(moduli)
         for _ in range(30):
             s = random_subset(rng, g)
@@ -129,7 +129,7 @@ def test_direct_t3_examples():
 
 def test_direct_t3_against_brute():
     rng = random.Random(31)
-    for moduli in [(9,), (2, 5), (8,), (3, 4)]:
+    for moduli in [(9,), (2, 5), (8,), (3, 4), (1,), (1, 5), (2, 1, 2), (2, 2, 3)]:
         g = make_group(moduli)
         for _ in range(25):
             s = random_subset(rng, g)
@@ -169,7 +169,7 @@ def test_cayley_rejects_bad_connection_sets():
 
 def test_cayley_against_brute_triples():
     rng = random.Random(41)
-    for moduli in [(7,), (8,), (2, 4), (3, 3)]:
+    for moduli in [(7,), (8,), (2, 4), (3, 3), (1,), (1, 5), (2, 1, 2), (2, 2, 3)]:
         g = make_group(moduli)
         for _ in range(12):
             s = random_symmetric_subset(rng, g)

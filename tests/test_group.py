@@ -1,20 +1,21 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from apx import enumerate_abelian_groups, make_group
+from apx import ApxError, enumerate_abelian_groups, make_group
 from apx.group import (
+    _MAX_TABLE_BYTES,
     add_table,
     dilation_perm,
     double_table,
     neg_table,
     parse_group,
-    sub_table,
     units,
 )
 
-from conftest import add, halve, neg
+from conftest import add, halve, index, neg
 
 
 def test_make_group_examples():
@@ -41,8 +42,8 @@ def test_add_neg_examples():
     z6 = make_group([6])
     assert add(z6, 4, 5) == 3
     z33 = make_group([3, 3])
-    a = z33.index((1, 2))
-    b = z33.index((2, 2))
+    a = index(z33, (1, 2))
+    b = index(z33, (2, 2))
     assert z33.coords(add(z33, a, b)) == (0, 1)
     assert neg(make_group([5]), 2) == 3
 
@@ -54,9 +55,9 @@ def test_element_validation():
     with pytest.raises(ValueError):
         z6.coords(-1)
     with pytest.raises(ValueError):
-        make_group([3, 3]).index((1, 3))
+        index(make_group([3, 3]), (1, 3))
     with pytest.raises(ValueError):
-        make_group([3, 3]).index((1,))
+        index(make_group([3, 3]), (1,))
 
 
 def test_halve_examples():
@@ -72,14 +73,14 @@ def test_encode_decode_roundtrip():
         for a in range(g.order):
             coords = g.coords(a)
             assert all(0 <= x < m for x, m in zip(coords, moduli))
-            assert g.index(coords) == a
+            assert index(g, coords) == a
 
 
 def test_mixed_radix_first_coordinate_fastest():
     g = make_group([3, 4])
-    assert g.index((1, 0)) == 1
-    assert g.index((0, 1)) == 3
-    assert g.index((2, 3)) == 2 + 3 * 3
+    assert g.coords(1) == (1, 0)
+    assert g.coords(3) == (0, 1)
+    assert g.coords(2 + 3 * 3) == (2, 3)
 
 
 def test_group_axioms_sampled():
@@ -124,13 +125,12 @@ def test_tables_match_scalar_ops():
     for moduli in [(8,), (3, 5), (2, 2, 3), (12,)]:
         g = make_group(moduli)
         at = add_table(g)
-        st = sub_table(g)
         nt = neg_table(g)
         dt = double_table(g)
         for _ in range(40):
             a, b = rng.randrange(g.order), rng.randrange(g.order)
             assert int(at[a, b]) == add(g, a, b)
-            assert int(st[a, b]) == add(g, a, neg(g, b))
+            assert int(at[a, nt[b]]) == add(g, a, neg(g, b))
             assert int(nt[a]) == neg(g, a)
             assert int(dt[a]) == add(g, a, a)
 
@@ -156,3 +156,16 @@ def test_tables_are_readonly():
     with pytest.raises(ValueError):
         add_table(g)[0, 0] = 1
     assert np.all(add_table(g) >= 0)
+
+
+def test_add_table_refuses_oversized_groups():
+    # Every order the suites, README and benchmark use (<= 2048) fits.
+    assert 8 * 2048 * 2048 <= _MAX_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ApxError, match="needs 137438953472 bytes"):
+            add_table(make_group([1 << 17]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
