@@ -98,10 +98,7 @@ def closure_bound(q: int, alpha, gamma0=GAMMA0) -> BoundValue:
 
 def base_case_bound(alpha) -> Fraction:
     """Pigeonhole ceiling 1 - alpha + alpha^2 for the q = 1 regime."""
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return 1 - alpha + alpha * alpha
+    return bound_term1(1, alpha)
 
 
 def gls_bound(n: int, d: int) -> int:
@@ -129,6 +126,10 @@ class GlsSufficiency:
     identity2: Fraction  # threshold - term2, always >= 0
 
 
+def _gls_threshold(q: int, alpha: Fraction) -> Fraction:
+    return Fraction(q + alpha**3) / (q + alpha)
+
+
 def gls_sufficiency(q: int, alpha, gamma0=GAMMA0) -> GlsSufficiency:
     """Check M <= (q + alpha^3)/(q + alpha) and the two difference identities.
 
@@ -141,7 +142,7 @@ def gls_sufficiency(q: int, alpha, gamma0=GAMMA0) -> GlsSufficiency:
     and verified exactly equal; both must be non-negative.
     """
     alpha = _check_profile_args(q, alpha)
-    threshold = Fraction(q + alpha**3) / (q + alpha)
+    threshold = _gls_threshold(q, alpha)
     diff1, diff2 = (threshold - term for term in _branches(q, alpha))
     closed1 = alpha**3 * (q * q - 1) / (q * q * (q + alpha))
     closed2 = (
@@ -173,15 +174,26 @@ def gls_threshold_min(q: int, steps: int = 10_000) -> tuple[Fraction, Fraction]:
     """
     if q < 1 or steps < 1:
         raise ValueError("need q >= 1 and steps >= 1")
-    best = None
-    best_alpha = None
-    for i in range(steps + 1):
-        alpha = Fraction(i, steps)
-        value = Fraction(q + alpha**3) / (q + alpha)
-        if best is None or value < best:
-            best = value
-            best_alpha = alpha
-    return best, best_alpha
+    alphas = (Fraction(i, steps) for i in range(steps + 1))
+    return min((_gls_threshold(q, alpha), alpha) for alpha in alphas)
+
+
+def _induction_step(eta, m):
+    """eta^2 * m + 3 (1 - eta)^2, the induction-step ceiling when M(q', alpha') = m.
+
+    Plain arithmetic like _branches: exact on Fractions, elementwise on the
+    lemma2 screen's float grids.
+    """
+    return eta * eta * m + 3 * (1 - eta) * (1 - eta)
+
+
+def induction_bound(ratio: Fraction, eta, gamma0=GAMMA0):
+    """Split ratio = q' + alpha' >= 1 like a size profile and bound the step.
+
+    Returns (q', alpha', eta^2 * closure_bound(q', alpha', gamma0) + 3 (1 - eta)^2).
+    """
+    p = size_profile(ratio.numerator, ratio.denominator)
+    return p.q, p.alpha, _induction_step(eta, closure_bound(p.q, p.alpha, gamma0).value)
 
 
 @dataclass(frozen=True)
@@ -217,14 +229,11 @@ def lemma2_check(q: int, alpha, k: int, eta, gamma0=GAMMA0) -> Lemma2Point:
     if not Fraction(3, 4) < eta <= 1:
         raise ValueError(f"eta must lie in (3/4, 1], got {eta}")
     ratio = (q + alpha) / (k * eta)
-    q_prime = ratio.numerator // ratio.denominator
-    if q_prime < 1:
+    if ratio < 1:
         raise OutOfLemmaRangeError(
-            f"derived q' = {q_prime} at (q={q}, alpha={alpha}, k={k}, eta={eta})"
+            f"derived q' = 0 at (q={q}, alpha={alpha}, k={k}, eta={eta})"
         )
-    alpha_prime = ratio - q_prime
-    lhs = eta * eta * closure_bound(q_prime, alpha_prime, gamma0).value
-    lhs += 3 * (1 - eta) ** 2
+    q_prime, alpha_prime, lhs = induction_bound(ratio, eta, gamma0)
     rhs = closure_bound(q, alpha, gamma0).value
     return Lemma2Point(
         q=q,
@@ -284,8 +293,6 @@ def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
     e_den = 4 * eta_steps
     e_num = 3 * eta_steps + np.arange(1, eta_steps + 1, dtype=np.int64)
     e_f = e_num / e_den
-    eta_sq = e_f * e_f
-    tail = 3 * (1 - e_f) * (1 - e_f)
     den = a_den * np.arange(1, q + 1, dtype=np.int64)[:, None] * e_num
     violations = []
     equalities = []
@@ -294,7 +301,7 @@ def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
         num = (q * a_den + i) * e_den
         q_prime = num // den
         term1, term2 = _branches(q_prime, num / den - q_prime)
-        lhs_f = eta_sq * np.maximum(np.maximum(term1, term2), g0f) + tail
+        lhs_f = _induction_step(e_f, np.maximum(np.maximum(term1, term2), g0f))
         for k0, j in zip(*np.nonzero(lhs_f - rhs_f >= _SCREEN_MARGIN)):
             point = lemma2_check(q, alpha, int(k0) + 1, etas[j], gamma0)
             if not point.holds_le:

@@ -138,7 +138,9 @@ def _run_compute(args, cfg: RunConfig) -> dict:
         "prob_from_s0": prob_from_s0(s) if cayley_valid else None,
         "size_profile": {"q": profile.q, "alpha": profile.alpha},
         "bound": {"value": bound.value, "branch": bound.active_branch},
-        "structure": structure_report(s, args.gamma) if args.structure else None,
+        "structure": (
+            structure_report(s, args.gamma, cfg.gamma0) if args.structure else None
+        ),
     }
 
 

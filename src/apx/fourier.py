@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import closure_bound
+from .bounds import GAMMA0, induction_bound
 from .counting import SubsetMask, _decode, direct_prob, direct_t3
 from .errors import (
     EmptySetError,
@@ -27,7 +28,14 @@ from .errors import (
     NoNonzeroFrequencyError,
     SymmetryRequiredError,
 )
-from .group import GroupSpec, double_table, make_group, neg_table, orbit_split
+from .group import (
+    GroupSpec,
+    _axis_values,
+    double_table,
+    make_group,
+    neg_table,
+    orbit_split,
+)
 from .util import as_fraction
 
 # Coefficients this close to the top value count as tied; FFT rounding on
@@ -100,15 +108,10 @@ def top_nonzero_coefficient(spectrum: Spectrum):
 
 def character_values(group: GroupSpec, m0: int) -> np.ndarray:
     """v(x) with character_m0(x) = e(2*pi*i*v(x)/n), for every element x."""
-    group._check_index(m0)
     n = group.order
-    m_coords = group.coords(m0)
-    idx = np.arange(n, dtype=np.int64)
     v = np.zeros(n, dtype=np.int64)
-    stride = 1
-    for m_i, n_i in zip(m_coords, group.moduli):
-        v += ((idx // stride) % n_i) * (m_i * (n // n_i))
-        stride *= n_i
+    for m_i, (_, x, n_i) in zip(group.coords(m0), _axis_values(group)):
+        v += x * (m_i * (n // n_i))
     return v % n
 
 
@@ -133,8 +136,13 @@ class WeightSeq:
     weights: dict[int, int]  # centered residue -> count, zero buckets omitted
     total: int
 
-    def weight(self, i: int) -> int:
-        return self.weights.get(_centered(i % self.modulus, self.modulus), 0)
+
+def _bucket(phases: np.ndarray, g: int, modulus: int) -> WeightSeq:
+    """Count character values, all multiples of g, by centered residue v/g."""
+    if np.any(phases % g):
+        raise ValueError("internal: character value escaped its lattice")
+    weights = Counter(_centered(v, modulus) for v in (phases // g).tolist())
+    return WeightSeq(modulus=modulus, weights=dict(weights), total=len(phases))
 
 
 def residue_weights(s: SubsetMask, m0: int) -> WeightSeq:
@@ -142,16 +150,8 @@ def residue_weights(s: SubsetMask, m0: int) -> WeightSeq:
     if m0 == 0:
         raise ValueError("residue weights need a nonzero frequency")
     g = character_reduction(s.group, m0)
-    modulus = s.group.order // g
-    values = character_values(s.group, m0)
-    weights: dict[int, int] = {}
-    for x in s.indices():
-        v = int(values[x])
-        if v % g:
-            raise ValueError("internal: character value escaped its lattice")
-        bucket = _centered(v // g, modulus)
-        weights[bucket] = weights.get(bucket, 0) + 1
-    return WeightSeq(modulus=modulus, weights=weights, total=s.size)
+    phases = character_values(s.group, m0)[list(s.indices())]
+    return _bucket(phases, g, s.group.order // g)
 
 
 @dataclass
@@ -179,14 +179,15 @@ class StructureReport:
     induction_rhs: Fraction | None
 
 
-def structure_report(s: SubsetMask, gamma) -> StructureReport:
+def structure_report(s: SubsetMask, gamma, gamma0=GAMMA0) -> StructureReport:
     """Run the spectral concentration diagnostics on a symmetric set.
 
     gamma is the probed probability level, anything in (d/n, 1]: the report
     answers "what does the machinery say if Prob[S] were gamma". mu, nu,
     beta are the derived levels; the arc is the preimage of phases in
     [-2pi/3, 2pi/3] (closed); eta is the weight of the kernel bucket; the
-    induction fields are absent when that bucket is empty.
+    induction fields are absent when that bucket is empty, and the
+    induction bound uses the constant floor gamma0.
     """
     if not s.is_symmetric:
         raise SymmetryRequiredError("structure diagnostics need S = -S")
@@ -212,28 +213,17 @@ def structure_report(s: SubsetMask, gamma) -> StructureReport:
     g = character_reduction(s.group, m0)
     k = n // g
 
-    values = character_values(s.group, m0)
-    arc_size = 0
-    for x in s.indices():
-        j = _centered(int(values[x]), n)
-        if 3 * abs(j) <= n:
-            arc_size += 1
-
-    weights = residue_weights(s, m0)
-    kernel_weight = weights.weight(0)
+    phases = character_values(s.group, m0)[list(s.indices())]
+    # |centered phase| = min(v, n - v); the arc keeps those at most n/3.
+    arc_size = np.count_nonzero(3 * np.minimum(phases, n - phases) <= n)
+    weights = _bucket(phases, g, k)
+    kernel_weight = weights.weights.get(0, 0)
     eta = Fraction(kernel_weight, d)
-
+    q_prime = alpha_prime = induction_rhs = None
     if kernel_weight > 0:
-        q_prime = g // kernel_weight
-        alpha_prime = Fraction(g, kernel_weight) - q_prime
-        induction_rhs = (
-            eta * eta * closure_bound(q_prime, alpha_prime).value
-            + 3 * (1 - eta) ** 2
+        q_prime, alpha_prime, induction_rhs = induction_bound(
+            Fraction(g, kernel_weight), eta, gamma0
         )
-    else:
-        q_prime = None
-        alpha_prime = None
-        induction_rhs = None
 
     return StructureReport(
         gamma=gamma,

@@ -91,6 +91,31 @@ def _t3_orbit_perms(group: GroupSpec):
     return tuple(out)
 
 
+def _maximize(group: GroupSpec, candidates, evaluate, perms=None, witness_cap=1):
+    """Best evaluate(S) over candidate bitmasks, skipping non-canonical ones.
+
+    Returns (best or None, the first witness_cap maximizers in candidate
+    order, candidates seen, candidates pruned by perms).
+    """
+    best = None
+    witnesses: list[SubsetMask] = []
+    seen = 0
+    pruned = 0
+    for bits in candidates:
+        seen += 1
+        if perms is not None and not _is_canonical(bits, perms):
+            pruned += 1
+            continue
+        s = SubsetMask(group, bits)
+        value = evaluate(s)
+        if best is None or value > best:
+            best = value
+            witnesses = [s]
+        elif value == best and len(witnesses) < witness_cap:
+            witnesses.append(s)
+    return best, witnesses, seen, pruned
+
+
 @dataclass
 class SearchReport:
     group: GroupSpec
@@ -126,15 +151,14 @@ def extremal_search(
     """
     if not 1 <= d <= group.order:
         raise ValueError(f"subset size {d} out of range for order {group.order}")
+    if witness_cap < 1:
+        raise ValueError(f"witness_cap must be >= 1, got {witness_cap!r}")
     profile = size_profile(group.order, d)
     if objective == "prob":
         bound = closure_bound(profile.q, profile.alpha, gamma0)
         candidates = _symmetric_bits(*orbit_split(group), d)
         perms = _prob_orbit_perms(group) if canonicalize else None
-
-        def evaluate(s: SubsetMask) -> Fraction:
-            return direct_prob(s)
-
+        evaluate = direct_prob
     elif objective == "t3density":
         if group.order % 2 == 0:
             raise OddOrderRequiredError(
@@ -153,22 +177,9 @@ def extremal_search(
     else:
         raise ValueError(f"objective must be 'prob' or 't3density', got {objective!r}")
 
-    best: Fraction | None = None
-    witnesses: list[SubsetMask] = []
-    enumerated = 0
-    pruned = 0
-    for bits in candidates:
-        enumerated += 1
-        if perms is not None and not _is_canonical(bits, perms):
-            pruned += 1
-            continue
-        s = SubsetMask(group, bits)
-        value = evaluate(s)
-        if best is None or value > best:
-            best = value
-            witnesses = [s]
-        elif value == best and len(witnesses) < witness_cap:
-            witnesses.append(s)
+    best, witnesses, enumerated, pruned = _maximize(
+        group, candidates, evaluate, perms, witness_cap
+    )
     assert best is not None  # every 1 <= d <= n has candidates
     return SearchReport(
         group=group,
@@ -377,23 +388,13 @@ def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
     fixed_nonzero = [x for x in fixed if x != 0]
     out = []
     for d in range(0, n):
-        bound = gls_bound(n, d)
-        profile = size_profile(n, d + 1)
-        sets = 0
-        max_triangles = -1
-        witness = ""
-        holds = True
-        for bits in _symmetric_bits(fixed_nonzero, pairs, d):
-            s = SubsetMask(group, bits)
-            triangles = cayley_triangles_direct(s)
-            sets += 1
-            if triangles > max_triangles:
-                max_triangles = triangles
-                witness = s.label
-            if triangles > bound:
-                holds = False
+        max_triangles, witnesses, sets, _ = _maximize(
+            group, _symmetric_bits(fixed_nonzero, pairs, d), cayley_triangles_direct
+        )
         if sets == 0:
             continue
+        bound = gls_bound(n, d)
+        profile = size_profile(n, d + 1)
         out.append(
             GlsCase(
                 group=group.label,
@@ -405,8 +406,8 @@ def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
                 max_triangles=max_triangles,
                 bound=bound,
                 regime="asserted" if profile.q >= 7 else "logged",
-                holds=holds,
-                witness=witness,
+                holds=max_triangles <= bound,
+                witness=witnesses[0].label,
             )
         )
     return out

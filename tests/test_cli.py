@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from apx import cli
 from apx.cli import main
 from apx.report import dumps_canonical
 
@@ -168,7 +169,7 @@ def test_bad_output_format_in_config_rejected(tmp_path, capsys):
     assert "output_format" in err and "yaml" in err
 
 
-def test_max_order_precedence(tmp_path, capsys):
+def test_max_order_precedence(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "apx.cfg"
     cfg.write_text("max_order = 6\n")
     for suite, extra in [("gls", ()), ("fourier", ("--sets", "2"))]:
@@ -177,11 +178,22 @@ def test_max_order_precedence(tmp_path, capsys):
         assert code == 0 and json.loads(out)["max_order"] == 6
         code, out, _ = run(capsys, *argv, "--config", str(cfg), "--max-order", "5")
         assert code == 0 and json.loads(out)["max_order"] == 5
-    defaults = {"theorem2": 15, "theorem1": 15, "gls": 16, "fourier": 512}
-    for suite, depth in defaults.items():
-        extra = ("--sets", "2") if suite == "fourier" else ()
-        code, out, _ = run(capsys, "verify", suite, *extra, "--format", "json")
-        assert code == 0 and json.loads(out)["max_order"] == depth
+    # The exhaustive suites record the default depth the CLI passes, then
+    # run at depth 5 so the default runs stay cheap.
+    passed = {}
+    for suite in ("theorem2", "theorem1", "gls"):
+        real = getattr(cli, f"verify_{suite}")
+
+        def stub(max_order, *args, _suite=suite, _real=real, **kwargs):
+            passed[_suite] = max_order
+            return _real(5, *args, **kwargs)
+
+        monkeypatch.setattr(cli, f"verify_{suite}", stub)
+        code, out, _ = run(capsys, "verify", suite, "--format", "json")
+        assert code == 0 and json.loads(out)["max_order"] == 5
+    assert passed == {"theorem2": 15, "theorem1": 15, "gls": 16}
+    code, out, _ = run(capsys, "verify", "fourier", "--sets", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["max_order"] == 512
 
 
 def test_bad_spectral_tolerances_exit_2(tmp_path, capsys):
@@ -245,6 +257,11 @@ def test_malformed_inputs_exit_2(capsys):
     assert code == 2
     code, out, err = run(capsys, "compute", "--group", "131072", "--set", "1")
     assert code == 2 and out == "" and "addition table" in err
+    for cap in ("0", "-1"):
+        code, out, err = run(
+            capsys, "search", "--group", "15", "--size", "3", "--witness-cap", cap
+        )
+        assert code == 2 and out == "" and "witness_cap" in err
 
 
 def test_threads_auto(capsys):
@@ -265,6 +282,16 @@ def test_gamma0_flag(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["bound"]["value"] == "9/10"
+    # compute's gamma0 also reaches the structure diagnostics' induction bound
+    z21 = ("compute", "--group", "21", "--set", "1,3,7,14,18,20", "--structure",
+           "--gamma", "1/2", "--format", "json")
+    code, out, _ = run(capsys, *z21, "--gamma0", "1/2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bound"]["value"] == "31/36"
+    assert doc["structure"]["induction_rhs"] == "17/12"
+    code, out, _ = run(capsys, *z21)
+    assert json.loads(out)["structure"]["induction_rhs"] == "12949/9000"
 
 
 def test_unknown_subcommand_usage_error(capsys):

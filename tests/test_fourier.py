@@ -14,6 +14,7 @@ from apx import (
     dft_indicator,
     direct_prob,
     direct_t3,
+    enumerate_abelian_groups,
     make_group,
     prob_spectral,
     residue_weights,
@@ -21,6 +22,7 @@ from apx import (
     t3_spectral,
     top_nonzero_coefficient,
 )
+from apx.bounds import GAMMA0, lemma2_check, size_profile
 from apx.fourier import (
     character_reduction,
     character_values,
@@ -196,7 +198,10 @@ def test_residue_weights_symmetry():
             s = random_symmetric_subset(rng, g)
             for m0 in range(1, g.order):
                 w = residue_weights(s, m0)
-                assert all(c == w.weight(-i) for i, c in w.weights.items())
+                for i, c in w.weights.items():
+                    # the centered residue of -i; n/2 is its own mirror
+                    mirror = i if 2 * i == w.modulus else -i
+                    assert w.weights.get(mirror, 0) == c
                 assert sum(w.weights.values()) == s.size
 
 
@@ -208,6 +213,36 @@ def test_structure_report_subgroup_case():
     assert rep.arc_mass == 1 and rep.eta == 1
     assert rep.q_prime == 1 and rep.alpha_prime == 0
     assert rep.induction_rhs == 1
+
+
+def test_structure_report_matches_lemma2_and_arc_definition():
+    # The kernel bucket of weight w in a subgroup of order g gives the
+    # induction profile g/w = (q + alpha) / (k * eta), with k = n/g and
+    # eta = w/d, so both reports must derive the same step bound.
+    rng = random.Random(2018)
+    for gamma0 in (GAMMA0, Fraction(1, 2)):
+        in_range = 0
+        for g in enumerate_abelian_groups(30):
+            for _ in range(20):
+                s = random_symmetric_subset(rng, g)
+                n, d = g.order, s.size
+                if d == n:
+                    continue
+                rep = structure_report(s, 1, gamma0)
+                # the arc holds the phases v/n in [-1/3, 1/3] mod 1
+                values = character_values(g, rep.m0)
+                v = [int(values[x]) for x in s.indices()]
+                centered = [j if 2 * j <= n else j - n for j in v]
+                assert rep.arc_size == sum(3 * abs(j) <= n for j in centered)
+                p = size_profile(n, d)
+                if p.q < 2 or not 1 <= rep.k <= p.q or rep.eta <= Fraction(3, 4):
+                    continue
+                point = lemma2_check(p.q, p.alpha, rep.k, rep.eta, gamma0)
+                assert (rep.q_prime, rep.alpha_prime, rep.induction_rhs) == (
+                    point.q_prime, point.alpha_prime, point.lhs
+                )
+                in_range += 1
+        assert in_range > 100
 
 
 def test_structure_report_mu_arithmetic():

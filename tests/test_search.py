@@ -72,6 +72,9 @@ def test_extremal_search_validation():
         extremal_search(make_group([6]), 0, "prob")
     with pytest.raises(ValueError):
         extremal_search(make_group([6]), 2, "nope")
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="witness_cap"):
+            extremal_search(make_group([15]), 3, "prob", witness_cap=cap)
 
 
 def test_extremal_search_monotone_sanity():
@@ -141,6 +144,7 @@ def test_verify_gls_small():
     # q >= 7 at these orders means |S0| <= n/7, i.e. tiny degrees only
     for c in rep.cases:
         assert (c.regime == "asserted") == (c.q >= 7)
+        assert c.holds == (c.max_triangles <= c.bound)
     z7d2 = next(c for c in rep.cases if c.group == "7" and c.d == 2)
     assert z7d2.max_triangles == 0
 
