@@ -192,6 +192,8 @@ def induction_bound(ratio: Fraction, eta, gamma0=GAMMA0):
 
     Returns (q', alpha', eta^2 * closure_bound(q', alpha', gamma0) + 3 (1 - eta)^2).
     """
+    if ratio < 1:
+        raise OutOfLemmaRangeError(f"derived q' = 0: ratio {ratio} < 1")
     p = size_profile(ratio.numerator, ratio.denominator)
     return p.q, p.alpha, _induction_step(eta, closure_bound(p.q, p.alpha, gamma0).value)
 
@@ -228,12 +230,7 @@ def lemma2_check(q: int, alpha, k: int, eta, gamma0=GAMMA0) -> Lemma2Point:
     eta = as_fraction(eta)
     if not Fraction(3, 4) < eta <= 1:
         raise ValueError(f"eta must lie in (3/4, 1], got {eta}")
-    ratio = (q + alpha) / (k * eta)
-    if ratio < 1:
-        raise OutOfLemmaRangeError(
-            f"derived q' = 0 at (q={q}, alpha={alpha}, k={k}, eta={eta})"
-        )
-    q_prime, alpha_prime, lhs = induction_bound(ratio, eta, gamma0)
+    q_prime, alpha_prime, lhs = induction_bound((q + alpha) / (k * eta), eta, gamma0)
     rhs = closure_bound(q, alpha, gamma0).value
     return Lemma2Point(
         q=q,
@@ -331,19 +328,13 @@ def lemma2_scan(
         _scan_one_q, alpha_steps=alpha_steps, eta_steps=eta_steps, gamma0=gamma0
     )
     chunks = pmap(worker, range(2, q_max + 1), threads=threads)
-    points = sum(c[0] for c in chunks)
-
-    def sort_key(p):
-        return (p.q, p.alpha, p.k, p.eta)
-
-    violations = sorted((p for c in chunks for p in c[1]), key=sort_key)
-    equalities = sorted((p for c in chunks for p in c[2]), key=sort_key)
+    # The chunks come in q order, each already in (alpha, k, eta) order.
     return Lemma2ScanReport(
         q_max=q_max,
         alpha_steps=alpha_steps,
         eta_steps=eta_steps,
         gamma0=gamma0,
-        points=points,
-        violations=tuple(violations),
-        equalities=tuple(equalities),
+        points=sum(c[0] for c in chunks),
+        violations=tuple(p for c in chunks for p in c[1]),
+        equalities=tuple(p for c in chunks for p in c[2]),
     )

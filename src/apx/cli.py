@@ -108,6 +108,8 @@ def _parse_set(group, text: str) -> SubsetMask:
 def _run_compute(args, cfg: RunConfig) -> dict:
     if args.structure and args.gamma is None:
         raise ValueError("--structure needs --gamma")
+    if args.gamma is not None and not args.structure:
+        raise ValueError("--gamma needs --structure")
     group = parse_group(args.group)
     s = _parse_set(group, args.set)
     if s.size == 0:
@@ -348,17 +350,17 @@ _COMMANDS = {
     "theorem2": _Command(
         lambda a, c: verify_theorem2(c.max_order, gamma0=c.gamma0, threads=c.threads),
         lambda r: not r.failures, _theorem2_text,
-        lambda r: cases_csv(r, "max_value", "bound"), 15,
+        cases_csv, 15,
     ),
     "theorem1": _Command(
         lambda a, c: verify_theorem1(c.max_order, threads=c.threads),
         lambda r: not r.failures, _theorem1_text,
-        lambda r: cases_csv(r, "max_density", "term_bound"), 15,
+        cases_csv, 15,
     ),
     "gls": _Command(
         lambda a, c: verify_gls(c.max_order, threads=c.threads),
         lambda r: not r.failures, _gls_text,
-        lambda r: cases_csv(r, "max_triangles", "bound"), 16,
+        cases_csv, 16,
     ),
     "lemma1": _Command(
         lambda a, c: bruteforce_scan(a.d_max, a.radius, a.eps, threads=c.threads),

@@ -86,21 +86,14 @@ def parse_group(label: str) -> GroupSpec:
     return make_group(moduli)
 
 
-def _partitions(k: int):
-    """Non-increasing integer partitions of k, largest-first order."""
+def _partitions(k: int, largest: int | None = None):
+    """Non-increasing partitions of k, parts <= largest (default k), largest first."""
     if k == 0:
         yield ()
         return
-
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for head in range(min(remaining, largest), 0, -1):
-            for tail in rec(remaining - head, head):
-                yield (head,) + tail
-
-    yield from rec(k, k)
+    for head in range(min(k, largest or k), 0, -1):
+        for tail in _partitions(k - head, head):
+            yield (head,) + tail
 
 
 def _prime_factorization(n: int) -> list[tuple[int, int]]:

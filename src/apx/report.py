@@ -13,6 +13,8 @@ import dataclasses
 import io
 import json
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,60 +28,55 @@ def frac_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def to_jsonable(obj):
-    """Convert report objects to plain dict/list/str/number trees."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    if isinstance(obj, GroupSpec):
-        return obj.label
-    if isinstance(obj, SubsetMask):
-        return obj.label
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, int) and not isinstance(key, bool):
+        return str(key)  # residue buckets are keyed by int
+    raise TypeError(f"cannot use a {type(key).__name__} as a JSON object key")
+
+
+def _write_members(members: list, out: list[str]) -> None:
+    """Write (spelled key, value) pairs as an object sorted by key."""
+    members.sort(key=lambda member: member[0])
+    out.append("{")
+    for i, (key, value) in enumerate(members):
+        if i:
+            if key == members[i - 1][0]:
+                raise TypeError(f"two JSON object keys spell {key!r}")
+            out.append(",")
+        out.append(json.dumps(key))
+        out.append(":")
+        _write_json(value, out)
+    out.append("}")
 
 
 def _write_json(obj, out: list[str]) -> None:
+    """Append the canonical JSON of a report object to out."""
     if obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, Fraction):
+        out.append(f'"{obj.numerator}/{obj.denominator}"')
+    elif isinstance(obj, (float, np.floating)):
+        obj = float(obj)
         if obj != obj or obj in (float("inf"), float("-inf")):
             raise ValueError("non-finite floats have no canonical JSON form")
         out.append(format(obj, ".12g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+    elif isinstance(obj, (GroupSpec, SubsetMask)):
+        out.append(json.dumps(obj.label))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _write_json(obj[key], out)
-        out.append("}")
+        _write_members([(_key(k), v) for k, v in obj.items()], out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = dataclasses.fields(obj)
+        _write_members([(f.name, getattr(obj, f.name)) for f in fields], out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -91,15 +88,11 @@ def _write_json(obj, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_canonical(obj) -> str:
-    """Serialize a jsonable tree with sorted keys and stable number format."""
-    out: list[str] = []
-    _write_json(obj, out)
-    return "".join(out)
-
-
 def report_json(report) -> str:
-    return dumps_canonical(to_jsonable(report))
+    """Canonical JSON of a report: sorted keys, stable number format."""
+    out: list[str] = []
+    _write_json(report, out)
+    return "".join(out)
 
 
 def _csv_string(header, rows) -> str:
@@ -118,11 +111,11 @@ def _cell(value):
 _CASE_HEADER = ["group", "d", "q", "alpha", "max_value", "bound", "gap"]
 
 
-def cases_csv(report, max_field: str, bound_field: str) -> str:
-    """One row per suite case; max_value and bound come from the named fields."""
+def cases_csv(report) -> str:
+    """One row per suite case; each case's csv_fields name its maximum and bound."""
     rows = []
     for c in report.cases:
-        high, bound = getattr(c, max_field), getattr(c, bound_field)
+        high, bound = (getattr(c, name) for name in c.csv_fields)
         rows.append(
             [_cell(v) for v in (c.group, c.d, c.q, c.alpha, high, bound, bound - high)]
         )

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
+from typing import ClassVar
 
 from .bounds import (
     GAMMA0,
@@ -210,54 +211,67 @@ def _sweep(task, max_order: int, threads: int, odd_only: bool = False):
     return len(groups), [case for chunk in chunks for case in chunk]
 
 
+@dataclass
+class SuiteCase:
+    """One (group, size) row of a verify suite.
+
+    csv_fields names the subclass's maximum and bound fields, the two
+    columns cases_csv reads besides the shared ones.
+    """
+
+    csv_fields: ClassVar[tuple[str, str]]
+    group: str
+    order: int
+    d: int
+    q: int
+    alpha: Fraction
+    witness: str
+
+
+@dataclass
+class SuiteReport:
+    max_order: int
+    groups: int
+    cases: list[SuiteCase]
+    failures: list[SuiteCase]
+
+
+def _search_rows(group: GroupSpec, objective: str, gamma0=GAMMA0):
+    """extremal_search at every size d: (shared case fields, maximum, bound)."""
+    for d in range(1, group.order + 1):
+        report = extremal_search(group, d, objective, gamma0=gamma0)
+        profile = size_profile(group.order, d)
+        shared = dict(
+            group=group.label, order=group.order, d=d, q=profile.q,
+            alpha=profile.alpha, witness=report.witnesses[0].label,
+        )
+        yield shared, report.max_value, report.bound.value
+
+
 # ---------------------------------------------------------------------------
 # Suite: sum-closure bound over every group and size (theorem2).
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class Theorem2Case:
-    group: str
-    order: int
-    d: int
-    q: int
-    alpha: Fraction
+class Theorem2Case(SuiteCase):
+    csv_fields = ("max_value", "bound")
     max_value: Fraction
     bound: Fraction
     gap: Fraction
-    witness: str
 
 
 @dataclass
-class Theorem2Report:
-    max_order: int
+class Theorem2Report(SuiteReport):
     gamma0: Fraction
-    groups: int
-    cases: list[Theorem2Case]
-    failures: list[Theorem2Case]
     worst_gap: Fraction | None
 
 
 def _theorem2_group_cases(group: GroupSpec, gamma0) -> list[Theorem2Case]:
-    out = []
-    for d in range(1, group.order + 1):
-        report = extremal_search(group, d, "prob", gamma0=gamma0)
-        profile = size_profile(group.order, d)
-        bound = report.bound.value
-        out.append(
-            Theorem2Case(
-                group=group.label,
-                order=group.order,
-                d=d,
-                q=profile.q,
-                alpha=profile.alpha,
-                max_value=report.max_value,
-                bound=bound,
-                gap=bound - report.max_value,
-                witness=report.witnesses[0].label,
-            )
-        )
-    return out
+    return [
+        Theorem2Case(**shared, max_value=high, bound=bound, gap=bound - high)
+        for shared, high, bound in _search_rows(group, "prob", gamma0)
+    ]
 
 
 def verify_theorem2(
@@ -283,24 +297,15 @@ def verify_theorem2(
 
 
 @dataclass
-class Theorem1Case:
-    group: str
-    order: int
-    d: int
-    q: int
-    alpha: Fraction
+class Theorem1Case(SuiteCase):
+    csv_fields = ("max_density", "term_bound")
     max_density: Fraction
     term_bound: Fraction  # max of the two algebraic branches
     regime: str  # "algebraic" | "gamma1"
-    witness: str
 
 
 @dataclass
-class Theorem1Report:
-    max_order: int
-    groups: int
-    cases: list[Theorem1Case]
-    failures: list[Theorem1Case]  # density above the hard ceiling 1
+class Theorem1Report(SuiteReport):
     worst_gap: Fraction | None  # min over cases of 1 - max_density
     empirical_gamma1: Fraction | None  # max density among gamma1-regime cases
 
@@ -310,26 +315,13 @@ class Theorem1Report:
 
 
 def _theorem1_group_cases(group: GroupSpec) -> list[Theorem1Case]:
-    out = []
-    for d in range(1, group.order + 1):
-        report = extremal_search(group, d, "t3density")
-        profile = size_profile(group.order, d)
-        term_bound = report.bound.value
-        regime = "algebraic" if report.max_value <= term_bound else "gamma1"
-        out.append(
-            Theorem1Case(
-                group=group.label,
-                order=group.order,
-                d=d,
-                q=profile.q,
-                alpha=profile.alpha,
-                max_density=report.max_value,
-                term_bound=term_bound,
-                regime=regime,
-                witness=report.witnesses[0].label,
-            )
+    return [
+        Theorem1Case(
+            **shared, max_density=high, term_bound=bound,
+            regime="algebraic" if high <= bound else "gamma1",
         )
-    return out
+        for shared, high, bound in _search_rows(group, "t3density")
+    ]
 
 
 def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
@@ -357,28 +349,20 @@ def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
 
 
 @dataclass
-class GlsCase:
-    group: str
-    order: int
-    d: int  # degree = |S|
-    q: int  # from the size profile of S0 = S + {0}
-    alpha: Fraction
+class GlsCase(SuiteCase):
+    # d is the degree |S|; q and alpha profile S0 = S + {0}
+    csv_fields = ("max_triangles", "bound")
     sets: int
     max_triangles: int
     bound: int
     regime: str  # "asserted" (q >= 7) | "logged"
     holds: bool
-    witness: str
 
 
 @dataclass
-class GlsReport:
-    max_order: int
-    groups: int
+class GlsReport(SuiteReport):
     sets_total: int
     asserted_sets: int
-    cases: list[GlsCase]
-    failures: list[GlsCase]
     logged: list[GlsCase]
 
 
@@ -397,17 +381,10 @@ def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
         profile = size_profile(n, d + 1)
         out.append(
             GlsCase(
-                group=group.label,
-                order=n,
-                d=d,
-                q=profile.q,
-                alpha=profile.alpha,
-                sets=sets,
-                max_triangles=max_triangles,
-                bound=bound,
-                regime="asserted" if profile.q >= 7 else "logged",
+                group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
+                witness=witnesses[0].label, sets=sets, max_triangles=max_triangles,
+                bound=bound, regime="asserted" if profile.q >= 7 else "logged",
                 holds=max_triangles <= bound,
-                witness=witnesses[0].label,
             )
         )
     return out

@@ -5,6 +5,7 @@ import pytest
 
 from apx import (
     GAMMA0,
+    OutOfLemmaRangeError,
     base_case_bound,
     bound_term1,
     bound_term2,
@@ -16,7 +17,7 @@ from apx import (
     lemma2_scan,
     size_profile,
 )
-from apx.bounds import _alpha_grid, _eta_grid
+from apx.bounds import _alpha_grid, _eta_grid, induction_bound
 
 
 def test_size_profile_examples():
@@ -159,6 +160,9 @@ def test_lemma2_check_validation():
         lemma2_check(3, 0, 1, Fraction(3, 4))
     with pytest.raises(ValueError):
         lemma2_check(3, 0, 1, Fraction(5, 4))
+    for ratio in (Fraction(1, 2), Fraction(0)):
+        with pytest.raises(OutOfLemmaRangeError, match="ratio"):
+            induction_bound(ratio, 1)
 
 
 def test_grids_hit_exact_endpoints():

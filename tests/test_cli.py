@@ -4,7 +4,7 @@ import pytest
 
 from apx import cli
 from apx.cli import main
-from apx.report import dumps_canonical
+from apx.report import report_json
 
 
 def run(capsys, *argv):
@@ -113,7 +113,7 @@ def test_verify_theorem2_json(capsys):
     doc = json.loads(out)
     assert doc["failures"] == []
     assert doc["worst_gap"] == "0/1"
-    assert dumps_canonical(doc) == out.strip()
+    assert report_json(doc) == out.strip()
 
 
 def test_verify_theorem1_text(capsys):
@@ -246,7 +246,7 @@ def test_env_threads_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out2) == baseline
 
 
-def test_malformed_inputs_exit_2(capsys):
+def test_malformed_inputs_exit_2(capsys, monkeypatch):
     code, _, err = run(capsys, "compute", "--group", "5", "--set", "9")
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "compute", "--group", "0", "--set", "0")
@@ -262,6 +262,20 @@ def test_malformed_inputs_exit_2(capsys):
             capsys, "search", "--group", "15", "--size", "3", "--witness-cap", cap
         )
         assert code == 2 and out == "" and "witness_cap" in err
+    code, out, err = run(
+        capsys, "compute", "--group", "5", "--set", "1,4", "--gamma", "1/2"
+    )
+    assert code == 2 and out == "" and "--gamma needs --structure" in err
+    for argv in (
+        ("verify", "theorem2", "--max-order", "5", "--threads", "0"),
+        ("verify", "lemma1", "--d-max", "0"),
+        ("structure", "--group", "5", "--set", ",", "--gamma", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err
+    monkeypatch.setenv("APX_THREADS", "0")
+    code, out, err = run(capsys, "verify", "theorem2", "--max-order", "5")
+    assert code == 2 and out == "" and "thread count" in err
 
 
 def test_threads_auto(capsys):

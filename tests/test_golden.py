@@ -53,6 +53,10 @@ CALLS = [
                         "--gamma", "1/2"), 0),
     ("structure_json", ("structure", "--group", "21", "--set", "1,3,7,14,18,20",
                         "--gamma", "1/2", "--format", "json"), 0),
+    ("structure_empty_kernel_text", ("structure", "--group", "4", "--set", "1,3",
+                                     "--gamma", "1"), 0),
+    ("structure_empty_kernel_json", ("structure", "--group", "4", "--set", "1,3",
+                                     "--gamma", "1", "--format", "json"), 0),
     ("search_text", ("search", "--group", "15", "--size", "6", "--objective",
                      "t3density", "--canonicalize"), 0),
     ("search_json", ("search", "--group", "3,3", "--size", "4", "--canonicalize",

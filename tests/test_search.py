@@ -17,7 +17,7 @@ from apx import (
     verify_theorem1,
     verify_theorem2,
 )
-from apx.report import to_jsonable
+from apx.report import report_json
 
 
 def symmetric_brute(g, d):
@@ -152,13 +152,13 @@ def test_verify_gls_small():
 def test_verify_suites_threads_deterministic():
     serial = verify_theorem2(8, threads=1)
     parallel = verify_theorem2(8, threads=2)
-    assert to_jsonable(serial) == to_jsonable(parallel)
+    assert report_json(serial) == report_json(parallel)
     serial1 = verify_theorem1(7, threads=1)
     parallel1 = verify_theorem1(7, threads=2)
-    assert to_jsonable(serial1) == to_jsonable(parallel1)
+    assert report_json(serial1) == report_json(parallel1)
     serial_g = verify_gls(8, threads=1)
     parallel_g = verify_gls(8, threads=2)
-    assert to_jsonable(serial_g) == to_jsonable(parallel_g)
+    assert report_json(serial_g) == report_json(parallel_g)
 
 
 def test_verify_validation():
