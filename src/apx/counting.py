@@ -4,6 +4,9 @@ These operations are the toolkit's ground truth. Every result is an exact
 integer or Fraction; the integer kernels run on numpy gathers over the
 group tables but never touch floating point. The spectral module is
 checked against these, never the other way round.
+
+The cube kernels (t3_cube, closure_cube) score every subset of a group at
+once and are tested against the per-set oracles beside them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ApxError, EmptySetError, InvalidConnectionSetError
-from .group import GroupSpec, add_table, double_table, neg_table
+from .group import _MAX_CUBE_BYTES, GroupSpec, add_table, double_table, neg_table
 
 
 @dataclass(frozen=True)
@@ -171,3 +174,63 @@ def prob_from_s0(s: SubsetMask) -> Fraction:
     d = s.size
     scale = Fraction(s0.size, d) ** 2
     return scale * (direct_prob(s0) - Fraction(3 * d + 1, s0.size * s0.size))
+
+
+def require_cube(group: GroupSpec, orbits: int) -> None:
+    """Raise ApxError when a cube over this many orbits passes _MAX_CUBE_BYTES."""
+    nbytes = 2 << orbits
+    if nbytes > _MAX_CUBE_BYTES:
+        raise ApxError(
+            f"the subset cube of group {group.label} (order {group.order}) has "
+            f"2^{orbits} cells and needs {nbytes} bytes ({nbytes / 2**30:.1f} GiB), "
+            f"over the {_MAX_CUBE_BYTES}-byte ceiling"
+        )
+
+
+def _cube(group: GroupSpec, orbits, triples) -> np.ndarray:
+    """Count the element triples inside every union of orbits.
+
+    Bit i of a cube index stands for orbits[i] (a tuple of elements). Each
+    triple adds 1 to the cell of the orbits it touches; a triple touching
+    an element in no orbit counts nowhere. One in-place subset-sum (zeta)
+    pass per bit then turns cell m into the number of triples inside m
+    (Yates 1937). Cells are uint16: two elements of a triple fix the third,
+    so a cell is at most m^2 for the m elements the orbits cover.
+    """
+    require_cube(group, len(orbits))
+    covered = sum(len(orbit) for orbit in orbits)
+    if covered * covered >= 1 << 16:
+        raise ValueError(f"orbits cover {covered} elements; uint16 cells need < 256")
+    bit = np.zeros(group.order, dtype=np.int64)
+    for i, orbit in enumerate(orbits):
+        bit[list(orbit)] = 1 << i
+    a, b, c = (bit[t] for t in triples)
+    inside = (a != 0) & (b != 0) & (c != 0)
+    masks, counts = np.unique((a | b | c)[inside], return_counts=True)
+    cube = np.zeros(1 << len(orbits), dtype=np.uint16)
+    cube[masks] = counts
+    for i in range(len(orbits)):
+        v = cube.reshape(-1, 2, 1 << i)
+        v[:, 1, :] += v[:, 0, :]
+    return cube
+
+
+def t3_cube(group: GroupSpec) -> np.ndarray:
+    """direct_t3 of every subset at once: cube[s.bits] == direct_t3(s)."""
+    add = add_table(group)
+    x = np.arange(group.order)
+    return _cube(
+        group, [(e,) for e in range(group.order)],
+        (x[:, None], add, add[:, double_table(group)]),
+    )
+
+
+def closure_cube(group: GroupSpec, orbits) -> np.ndarray:
+    """sum_closure_count of every union of orbits at once.
+
+    orbits are disjoint element tuples. cube[m] is sum_closure_count of the
+    union of the orbits whose bit is set in m (bit i for orbits[i]);
+    elements in no orbit are in no set.
+    """
+    x = np.arange(group.order)
+    return _cube(group, orbits, (x[:, None], x[None, :], add_table(group)))

@@ -28,6 +28,10 @@ _MAX_ORDER = 1 << 62
 # Largest int64 addition table add_table builds: 64 MiB, order <= 2896.
 _MAX_TABLE_BYTES = 1 << 26
 
+# Largest subset cube the suite kernels build: 2-byte cells, 32 MiB, so at
+# most 24 orbits (2^24 subsets).
+_MAX_CUBE_BYTES = 1 << 25
+
 
 @dataclass(frozen=True)
 class GroupSpec:

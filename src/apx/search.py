@@ -13,6 +13,8 @@ from functools import lru_cache, partial
 from itertools import combinations
 from typing import ClassVar
 
+import numpy as np
+
 from .bounds import (
     GAMMA0,
     BoundValue,
@@ -20,7 +22,14 @@ from .bounds import (
     gls_bound,
     size_profile,
 )
-from .counting import SubsetMask, cayley_triangles_direct, direct_prob, direct_t3
+from .counting import (
+    SubsetMask,
+    closure_cube,
+    direct_prob,
+    direct_t3,
+    require_cube,
+    t3_cube,
+)
 from .errors import OddOrderRequiredError
 from .group import (
     GroupSpec,
@@ -195,11 +204,13 @@ def extremal_search(
     )
 
 
-def _sweep(task, max_order: int, threads: int, odd_only: bool = False):
+def _sweep(task, max_order: int, threads: int, orbits, odd_only: bool = False):
     """Run a per-group case function over every group up to max_order.
 
     task must pickle (a module-level function or a partial of one) for
-    threads > 1. Returns the group count and all cases in group order.
+    threads > 1. orbits(group) is the orbit count of the group's cube;
+    every cube is checked against the ceiling before the first group runs.
+    Returns the group count and all cases in group order.
     """
     lowest = 3 if odd_only else 2
     if max_order < lowest:
@@ -207,6 +218,8 @@ def _sweep(task, max_order: int, threads: int, odd_only: bool = False):
     groups = enumerate_abelian_groups(max_order)
     if odd_only:
         groups = [g for g in groups if g.order % 2 == 1]
+    for group in groups:
+        require_cube(group, orbits(group))
     chunks = pmap(task, groups, threads)
     return len(groups), [case for chunk in chunks for case in chunk]
 
@@ -236,16 +249,61 @@ class SuiteReport:
     failures: list[SuiteCase]
 
 
-def _search_rows(group: GroupSpec, objective: str, gamma0=GAMMA0):
-    """extremal_search at every size d: (shared case fields, maximum, bound)."""
-    for d in range(1, group.order + 1):
-        report = extremal_search(group, d, objective, gamma0=gamma0)
-        profile = size_profile(group.order, d)
-        shared = dict(
-            group=group.label, order=group.order, d=d, q=profile.q,
-            alpha=profile.alpha, witness=report.witnesses[0].label,
+def _orbit_sizes(orbits) -> np.ndarray:
+    """|S| of every orbit mask: the total size of the orbits whose bit is set."""
+    sizes = np.zeros(1, dtype=np.uint8)
+    for orbit in orbits:
+        sizes = np.concatenate([sizes, sizes + len(orbit)])
+    return sizes
+
+
+def _reversed_bits(values: np.ndarray, width: int):
+    """(the low width bits of each value in reverse order, their popcount)."""
+    reversed_ = np.zeros_like(values)
+    count = np.zeros_like(values)
+    for i in range(width):
+        bit = (values >> i) & 1
+        reversed_ |= bit << (width - 1 - i)
+        count += bit
+    return reversed_, count
+
+
+def _cube_rows(group: GroupSpec, cube: np.ndarray, orbits, sizes):
+    """(d, maximum, witness label, cells) of every size d in sizes with cells.
+
+    orbits lists the singleton orbits (fixed) first, then the pairs, in
+    the bit order of the cube. The witness is the maximizer that
+    _symmetric_bits(fixed, pairs, d) meets first: the one with the fewest
+    fixed orbits, then the largest bit-reversed fixed part, then the
+    largest bit-reversed pair part. With singletons only, that order is
+    combinations order. Only the tied maximizers are bit-reversed.
+    """
+    fixed = sum(len(orbit) == 1 for orbit in orbits)
+    pairs = len(orbits) - fixed
+    size = _orbit_sizes(orbits)
+    for d in sizes:
+        cells = np.flatnonzero(size == d)
+        if cells.size == 0:
+            continue
+        values = cube[cells]
+        best = values.max()
+        ties = cells[values == best]
+        fixed_reversed, fixed_count = _reversed_bits(ties & ((1 << fixed) - 1), fixed)
+        pairs_reversed, _ = _reversed_bits(ties >> fixed, pairs)
+        key = (
+            ((fixed - fixed_count) << len(orbits))
+            | (fixed_reversed << pairs)
+            | pairs_reversed
         )
-        yield shared, report.max_value, report.bound.value
+        winner = int(ties[np.argmax(key)])
+        elements = (e for i, orbit in enumerate(orbits) if winner >> i & 1 for e in orbit)
+        yield d, int(best), SubsetMask.from_indices(group, elements).label, cells.size
+
+
+def _symmetric_orbits(group: GroupSpec, zero: bool = True):
+    """Singleton orbits of x -> -x, then the {x, -x} pairs, as element tuples."""
+    fixed, pairs = orbit_split(group)
+    return [(x,) for x in fixed if zero or x != 0] + pairs
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +326,22 @@ class Theorem2Report(SuiteReport):
 
 
 def _theorem2_group_cases(group: GroupSpec, gamma0) -> list[Theorem2Case]:
-    return [
-        Theorem2Case(**shared, max_value=high, bound=bound, gap=bound - high)
-        for shared, high, bound in _search_rows(group, "prob", gamma0)
-    ]
+    n = group.order
+    orbits = _symmetric_orbits(group)
+    out = []
+    for d, count, witness, _ in _cube_rows(
+        group, closure_cube(group, orbits), orbits, range(1, n + 1)
+    ):
+        profile = size_profile(n, d)
+        high = Fraction(count, d * d)
+        bound = closure_bound(profile.q, profile.alpha, gamma0).value
+        out.append(
+            Theorem2Case(
+                group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
+                witness=witness, max_value=high, bound=bound, gap=bound - high,
+            )
+        )
+    return out
 
 
 def verify_theorem2(
@@ -279,7 +349,8 @@ def verify_theorem2(
 ) -> Theorem2Report:
     """Exhaustively check max Prob[S] <= closure_bound for every (group, d)."""
     groups, cases = _sweep(
-        partial(_theorem2_group_cases, gamma0=gamma0), max_order, threads
+        partial(_theorem2_group_cases, gamma0=gamma0), max_order, threads,
+        lambda g: len(_symmetric_orbits(g)),
     )
     return Theorem2Report(
         max_order=max_order,
@@ -315,13 +386,23 @@ class Theorem1Report(SuiteReport):
 
 
 def _theorem1_group_cases(group: GroupSpec) -> list[Theorem1Case]:
-    return [
-        Theorem1Case(
-            **shared, max_density=high, term_bound=bound,
-            regime="algebraic" if high <= bound else "gamma1",
+    n = group.order
+    orbits = [(x,) for x in range(n)]
+    out = []
+    for d, count, witness, _ in _cube_rows(
+        group, t3_cube(group), orbits, range(1, n + 1)
+    ):
+        profile = size_profile(n, d)
+        high = Fraction(count, d * d)
+        bound = closure_bound(profile.q, profile.alpha, None).value
+        out.append(
+            Theorem1Case(
+                group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
+                witness=witness, max_density=high, term_bound=bound,
+                regime="algebraic" if high <= bound else "gamma1",
+            )
         )
-        for shared, high, bound in _search_rows(group, "t3density")
-    ]
+    return out
 
 
 def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
@@ -331,7 +412,9 @@ def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
     algebraic branches pass that way; the rest feed the reported empirical
     constant (None when no case needs one, the situation at desk scale).
     """
-    groups, cases = _sweep(_theorem1_group_cases, max_order, threads, odd_only=True)
+    groups, cases = _sweep(
+        _theorem1_group_cases, max_order, threads, lambda g: g.order, odd_only=True
+    )
     gamma1_densities = [c.max_density for c in cases if c.regime == "gamma1"]
     return Theorem1Report(
         max_order=max_order,
@@ -367,22 +450,20 @@ class GlsReport(SuiteReport):
 
 
 def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
+    """Triangles of a 0-free symmetric S are n * sum_closure_count(S) / 6."""
     n = group.order
-    fixed, pairs = orbit_split(group)
-    fixed_nonzero = [x for x in fixed if x != 0]
+    orbits = _symmetric_orbits(group, zero=False)
     out = []
-    for d in range(0, n):
-        max_triangles, witnesses, sets, _ = _maximize(
-            group, _symmetric_bits(fixed_nonzero, pairs, d), cayley_triangles_direct
-        )
-        if sets == 0:
-            continue
+    for d, count, witness, sets in _cube_rows(
+        group, closure_cube(group, orbits), orbits, range(0, n)
+    ):
+        max_triangles = n * count // 6
         bound = gls_bound(n, d)
         profile = size_profile(n, d + 1)
         out.append(
             GlsCase(
                 group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
-                witness=witnesses[0].label, sets=sets, max_triangles=max_triangles,
+                witness=witness, sets=sets, max_triangles=max_triangles,
                 bound=bound, regime="asserted" if profile.q >= 7 else "logged",
                 holds=max_triangles <= bound,
             )
@@ -397,7 +478,10 @@ def verify_gls(max_order: int = 16, threads: int = 1) -> GlsReport:
     Cases with q >= 7 are asserted (the proven regime); smaller q is outside
     it, so those cases are only logged with their empirical outcome.
     """
-    groups, cases = _sweep(_gls_group_cases, max_order, threads)
+    groups, cases = _sweep(
+        _gls_group_cases, max_order, threads,
+        lambda g: len(_symmetric_orbits(g, zero=False)),
+    )
     return GlsReport(
         max_order=max_order,
         groups=groups,

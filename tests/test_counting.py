@@ -1,10 +1,15 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apx import (
+    ApxError,
     EmptySetError,
     InvalidConnectionSetError,
     SubsetMask,
@@ -16,7 +21,9 @@ from apx import (
     prob_from_s0,
     sum_closure_count,
 )
-from apx.group import dilation_perm, units
+from apx.counting import closure_cube, t3_cube
+from apx.group import _MAX_CUBE_BYTES, dilation_perm, units
+from apx.search import _symmetric_orbits
 
 from conftest import add, empty, full, halve, mask, neg
 
@@ -246,3 +253,75 @@ def test_t3_translation_and_dilation_invariance():
         dilated = SubsetMask.from_indices(g, [int(perm[x]) for x in s.indices()])
         assert direct_t3(dilated) == direct_t3(s)
         assert direct_prob(dilated) == direct_prob(s)
+
+
+# The cube kernels against the per-set oracles, on random groups and masks.
+
+EDGE_GROUPS = [(1,), (1, 5), (2, 1, 2), (3, 3, 3), (2, 2, 2, 2)]
+
+groups = st.one_of(
+    st.sampled_from(EDGE_GROUPS),
+    st.lists(st.integers(1, 7), min_size=1, max_size=3).filter(
+        lambda moduli: math.prod(moduli) <= 20
+    ),
+).map(make_group)
+
+
+def union(g, orbits, m):
+    return SubsetMask.from_indices(
+        g, [e for i, orbit in enumerate(orbits) if m >> i & 1 for e in orbit]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups, st.data())
+def test_t3_cube_matches_direct_t3(g, data):
+    if 2 << g.order > _MAX_CUBE_BYTES:
+        with pytest.raises(ApxError, match="subset cube"):
+            t3_cube(g)
+        return
+    cube = t3_cube(g)
+    assert cube.size == 1 << g.order
+    bits = data.draw(st.integers(0, cube.size - 1))
+    assert cube[bits] == direct_t3(SubsetMask(g, bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups, st.data())
+def test_closure_cube_matches_sum_closure_count(g, data):
+    orbits = _symmetric_orbits(g)
+    cube = closure_cube(g, orbits)
+    m = data.draw(st.integers(0, cube.size - 1))
+    assert cube[m] == sum_closure_count(union(g, orbits, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups, st.data())
+def test_zero_free_closure_cube_counts_cayley_triangles(g, data):
+    orbits = _symmetric_orbits(g, zero=False)
+    cube = closure_cube(g, orbits)
+    m = data.draw(st.integers(0, cube.size - 1))
+    assert cayley_triangles_direct(union(g, orbits, m)) * 6 == g.order * int(cube[m])
+
+
+def test_cubes_on_edge_groups():
+    for moduli in EDGE_GROUPS:
+        g = make_group(moduli)
+        for zero in (True, False):
+            orbits = _symmetric_orbits(g, zero)
+            cube = closure_cube(g, orbits)
+            assert cube.dtype == np.uint16 and cube.size == 1 << len(orbits)
+            for m in range(0, cube.size, max(1, cube.size >> 9)):
+                assert cube[m] == sum_closure_count(union(g, orbits, m))
+        if 2 << g.order <= _MAX_CUBE_BYTES:
+            cube = t3_cube(g)
+            for bits in range(0, cube.size, max(1, cube.size >> 9)):
+                assert cube[bits] == direct_t3(SubsetMask(g, bits))
+
+
+def test_closure_cube_refuses_cells_past_uint16():
+    g = make_group([300])
+    cube = closure_cube(g, [tuple(range(255))])
+    assert cube[1] == sum_closure_count(SubsetMask.from_indices(g, range(255)))
+    with pytest.raises(ValueError, match="256 elements"):
+        closure_cube(g, [tuple(range(256))])

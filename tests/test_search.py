@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,19 +6,32 @@ import pytest
 
 from apx import (
     GAMMA0,
+    ApxError,
     OddOrderRequiredError,
     SubsetMask,
+    cayley_triangles_direct,
     closure_bound,
     direct_prob,
+    direct_t3,
     enumerate_abelian_groups,
+    gls_bound,
     enumerate_symmetric_subsets,
     extremal_search,
     make_group,
+    size_profile,
     verify_gls,
     verify_theorem1,
     verify_theorem2,
 )
+from apx.counting import require_cube
+from apx.group import orbit_split
 from apx.report import report_json
+from apx.search import (
+    _gls_group_cases,
+    _symmetric_bits,
+    _theorem1_group_cases,
+    _theorem2_group_cases,
+)
 
 
 def symmetric_brute(g, d):
@@ -168,3 +182,80 @@ def test_verify_validation():
         verify_theorem1(2)
     with pytest.raises(ValueError):
         verify_gls(1)
+
+
+# Reference sweep: every candidate set scored by the per-set oracles, the
+# first maximizer in candidate order kept as the witness.
+
+
+def first_maximum(g, candidates, evaluate):
+    best, witness, sets = None, None, 0
+    for bits in candidates:
+        sets += 1
+        value = evaluate(SubsetMask(g, bits))
+        if best is None or value > best:
+            best, witness = value, SubsetMask(g, bits).label
+    return best, witness, sets
+
+
+def test_suite_cases_match_the_reference_sweep():
+    for g in enumerate_abelian_groups(11):
+        n = g.order
+        fixed, pairs = orbit_split(g)
+        for case in _theorem2_group_cases(g, GAMMA0):
+            d = case.d
+            best, witness, _ = first_maximum(
+                g, _symmetric_bits(fixed, pairs, d), direct_prob
+            )
+            profile = size_profile(n, d)
+            assert (case.max_value, case.witness) == (best, witness)
+            assert case.bound == closure_bound(profile.q, profile.alpha).value
+        assert [c.d for c in _theorem2_group_cases(g, GAMMA0)] == list(range(1, n + 1))
+
+        gls = {case.d: case for case in _gls_group_cases(g)}
+        nonzero = [x for x in fixed if x != 0]
+        for d in range(n):
+            best, witness, sets = first_maximum(
+                g, _symmetric_bits(nonzero, pairs, d), cayley_triangles_direct
+            )
+            if sets == 0:
+                assert d not in gls
+                continue
+            case = gls[d]
+            assert (case.max_triangles, case.witness, case.sets) == (best, witness, sets)
+            assert case.bound == gls_bound(n, d)
+
+        if n % 2 == 0:
+            continue
+        cases = _theorem1_group_cases(g)
+        assert [c.d for c in cases] == list(range(1, n + 1))
+        for case in cases:
+            d = case.d
+            best, witness, _ = first_maximum(
+                g,
+                (sum(1 << i for i in combo) for combo in combinations(range(n), d)),
+                lambda s: Fraction(direct_t3(s), d * d),
+            )
+            profile = size_profile(n, d)
+            assert (case.max_density, case.witness) == (best, witness)
+            assert case.term_bound == closure_bound(profile.q, profile.alpha, None).value
+
+
+def test_suites_refuse_oversized_cubes_before_any_work():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ApxError, match=r"group 25 .*needs 67108864 bytes"):
+            verify_theorem1(40)
+        with pytest.raises(ApxError, match=r"group 2,2,2,2,2 .*needs 8589934592 bytes"):
+            verify_theorem2(130)
+        with pytest.raises(ApxError, match=r"group 2,2,2,2,2 .*needs 4294967296 bytes"):
+            verify_gls(130)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    require_cube(make_group([17]), 17)  # theorem1 at order 17
+    require_cube(make_group([2, 2, 2, 2]), 16)  # theorem2 on Z_2^4
+    require_cube(make_group([23]), 23)
+    with pytest.raises(ApxError):
+        require_cube(make_group([25]), 25)
