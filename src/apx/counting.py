@@ -122,6 +122,11 @@ def direct_t3(s: SubsetMask) -> int:
     return int((at_step & at_double).sum(dtype=np.int64))
 
 
+# Byte budget for one block of edge-row intersections in
+# cayley_triangles_direct.
+_BLOCK_BYTES = 1 << 20
+
+
 def _require_connection_set(s: SubsetMask) -> None:
     if s.contains_zero:
         raise InvalidConnectionSetError("connection set must not contain 0")
@@ -132,18 +137,26 @@ def _require_connection_set(s: SubsetMask) -> None:
 def cayley_triangles_direct(s: SubsetMask) -> int:
     """Triangle count of the Cayley graph on G with connection set S.
 
-    Counts closed 3-walks of the actual adjacency matrix (exact integer
-    cube) and divides by 6; never consults the sum-closure probability.
-    Row -a of the addition table holds b - a, so the row-permuted gather
-    below is the adjacency 1_S(b - a).
+    Counts the closed 3-walks of the actual graph and divides by 6; never
+    consults the sum-closure probability. Row -a of the addition table
+    holds b - a, so row a of the row-permuted gather below is the
+    neighbourhood a + S as a packed bitset. Every ordered edge (u, v)
+    with v in u + S closes popcount(row u & row v) walks. Edges are taken
+    a block of rows at a time so each temporary stays near _BLOCK_BYTES:
+    O(n^2 * |S| / 8) byte operations and no n x n integer temporary.
     """
     _require_connection_set(s)
     if s.size == 0:
         return 0
     g = s.group
-    _, memb = _decode(s)
-    adj = memb[add_table(g)][neg_table(g)].astype(np.int64)
-    closed_walks = int(((adj @ adj) * adj).sum(dtype=np.int64))
+    elems, memb = _decode(s)
+    add = add_table(g)
+    rows = np.packbits(memb[add], axis=1)[neg_table(g)]
+    step = max(1, _BLOCK_BYTES // (s.size * rows.shape[1]))
+    closed_walks = 0
+    for lo in range(0, g.order, step):
+        block = rows[lo : lo + step, None, :] & rows[add[lo : lo + step, elems]]
+        closed_walks += int(np.bitwise_count(block).sum(dtype=np.int64))
     if closed_walks % 6:
         raise ApxError("internal: closed 3-walk count not divisible by 6")
     return closed_walks // 6

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
+from math import comb
 from typing import ClassVar
 
 import numpy as np
@@ -30,7 +31,7 @@ from .counting import (
     require_cube,
     t3_cube,
 )
-from .errors import OddOrderRequiredError
+from .errors import ApxError, OddOrderRequiredError
 from .group import (
     GroupSpec,
     add_table,
@@ -126,6 +127,12 @@ def _maximize(group: GroupSpec, candidates, evaluate, perms=None, witness_cap=1)
     return best, witnesses, seen, pruned
 
 
+# Most candidates extremal_search enumerates. Each costs one exact oracle
+# call, about 10 us on a 2-CPU VM (Z_2^5 at size 8: 10.5M candidates in
+# 104 s), so the ceiling is about 10 s of work.
+_MAX_SEARCH_CANDIDATES = 1 << 20
+
+
 @dataclass
 class SearchReport:
     group: GroupSpec
@@ -166,8 +173,13 @@ def extremal_search(
     profile = size_profile(group.order, d)
     if objective == "prob":
         bound = closure_bound(profile.q, profile.alpha, gamma0)
-        candidates = _symmetric_bits(*orbit_split(group), d)
-        perms = _prob_orbit_perms(group) if canonicalize else None
+        fixed, pairs = orbit_split(group)
+        count = sum(
+            comb(len(fixed), k) * comb(len(pairs), (d - k) // 2)
+            for k in range(d & 1, d + 1, 2)
+        )
+        candidates = _symmetric_bits(fixed, pairs, d)
+        orbit_perms = _prob_orbit_perms
         evaluate = direct_prob
     elif objective == "t3density":
         if group.order % 2 == 0:
@@ -175,10 +187,11 @@ def extremal_search(
                 "progression-density search runs on odd-order groups"
             )
         bound = closure_bound(profile.q, profile.alpha, None)
+        count = comb(group.order, d)
         candidates = (
             sum(1 << i for i in combo) for combo in combinations(range(group.order), d)
         )
-        perms = _t3_orbit_perms(group) if canonicalize else None
+        orbit_perms = _t3_orbit_perms
         denom = d * d
 
         def evaluate(s: SubsetMask) -> Fraction:
@@ -186,7 +199,14 @@ def extremal_search(
 
     else:
         raise ValueError(f"objective must be 'prob' or 't3density', got {objective!r}")
+    if count > _MAX_SEARCH_CANDIDATES:
+        raise ApxError(
+            f"the {objective} search of group {group.label} (order {group.order}) "
+            f"at size {d} has {count} candidates, over the "
+            f"{_MAX_SEARCH_CANDIDATES}-candidate ceiling"
+        )
 
+    perms = orbit_perms(group) if canonicalize else None
     best, witnesses, enumerated, pruned = _maximize(
         group, candidates, evaluate, perms, witness_cap
     )

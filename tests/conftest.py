@@ -1,4 +1,7 @@
+import numpy as np
+
 from apx import SubsetMask, make_group
+from apx.group import add_table, neg_table
 
 
 def mask(moduli, indices):
@@ -45,3 +48,18 @@ def halve(g, a):
         raise ValueError(f"group {g.label} has an even factor; 2 is not invertible")
     coords = zip(g.coords(a), g.moduli)
     return index(g, tuple((x * ((m + 1) // 2)) % m for x, m in coords))
+
+
+def dense_cayley_triangles(s):
+    """Cayley triangles from the dense int64 cube of the adjacency matrix.
+
+    The reference for counting.cayley_triangles_direct: trace(A^3) / 6 with
+    A[a, b] = 1_S(b - a), an O(n^3) matmul. S must be symmetric and 0-free.
+    """
+    g = s.group
+    memb = np.zeros(g.order, dtype=np.int64)
+    memb[list(s.indices())] = 1
+    adj = memb[add_table(g)][neg_table(g)]
+    closed_walks = int(((adj @ adj) * adj).sum())
+    assert closed_walks % 6 == 0
+    return closed_walks // 6

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -80,6 +81,17 @@ def test_search_command(capsys):
     doc = json.loads(out)
     assert doc["max_value"] == "3/4"
     assert doc["witnesses"] == ["{1,2,3,4}"]
+
+
+def test_search_past_the_candidate_ceiling_exits_2(capsys):
+    for argv, count in [
+        (("--group", "2,2,2,2,2", "--size", "16"), 601080390),  # C(32, 16)
+        (("--group", "25", "--size", "12", "--objective", "t3density"), 5200300),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and f"has {count} candidates" in err
 
 
 def test_verify_lemma1_default_passes(capsys):

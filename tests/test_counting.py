@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apx import (
@@ -21,11 +23,12 @@ from apx import (
     prob_from_s0,
     sum_closure_count,
 )
+from apx import counting
 from apx.counting import closure_cube, t3_cube
-from apx.group import _MAX_CUBE_BYTES, dilation_perm, units
+from apx.group import _MAX_CUBE_BYTES, add_table, dilation_perm, neg_table, units
 from apx.search import _symmetric_orbits
 
-from conftest import add, empty, full, halve, mask, neg
+from conftest import add, dense_cayley_triangles, empty, full, halve, mask, neg
 
 
 # Definition-level oracles, written against the scalar group API only.
@@ -325,3 +328,56 @@ def test_closure_cube_refuses_cells_past_uint16():
     assert cube[1] == sum_closure_count(SubsetMask.from_indices(g, range(255)))
     with pytest.raises(ValueError, match="256 elements"):
         closure_cube(g, [tuple(range(256))])
+
+
+# cayley_triangles_direct against the dense int64 reference in conftest.
+
+cayley_groups = st.one_of(
+    st.sampled_from(EDGE_GROUPS),
+    st.lists(st.integers(1, 9), min_size=1, max_size=3).filter(
+        lambda moduli: math.prod(moduli) <= 64
+    ),
+).map(make_group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cayley_groups, st.integers(0, (1 << 64) - 1), st.integers(1, 1 << 12))
+@example(make_group([1]), 0, 1)
+@example(make_group([1, 5]), 3, 1)
+@example(make_group([2, 1, 2]), 7, 1)
+@example(make_group([2, 2, 2, 2]), (1 << 15) - 1, 3)
+@example(make_group([2, 2, 2, 2]), 0b101010101, 1 << 20)
+def test_cayley_direct_matches_dense_reference(g, bits, block_bytes):
+    # A random block budget makes small groups run many blocks, with a
+    # partial last one.
+    orbits = _symmetric_orbits(g, zero=False)
+    s = union(g, orbits, bits % (1 << len(orbits)))
+    with mock.patch.object(counting, "_BLOCK_BYTES", block_bytes):
+        assert cayley_triangles_direct(s) == dense_cayley_triangles(s)
+
+
+def test_cayley_direct_dense_set_runs_several_blocks():
+    # An interval of 300 elements on Z_512: 64-byte rows, 54-row blocks,
+    # and a last block of 26 rows.
+    g = make_group([512])
+    s = SubsetMask.from_indices(g, [x for x in range(1, 512) if min(x, 512 - x) <= 150])
+    assert s.size == 300
+    step = counting._BLOCK_BYTES // (s.size * 512 // 8)
+    assert 1 < step < 512 and 512 % step
+    expected = dense_cayley_triangles(s)
+    assert expected > 0
+    assert cayley_triangles_direct(s) == expected == cayley_triangles_formula(s)
+
+
+def test_cayley_direct_memory_stays_far_below_a_dense_matrix():
+    g = make_group([2048])
+    s = SubsetMask.from_indices(g, [x for x in range(1, 2048) if min(x, 2048 - x) <= 512])
+    add_table(g), neg_table(g)  # the group's shared tables are not the kernel's
+    tracemalloc.start()
+    try:
+        triangles = cayley_triangles_direct(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2048 * 2048 // 4  # a quarter of one n x n int64 array
+    assert triangles == cayley_triangles_formula(s)

@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,7 @@ from apx import (
     verify_theorem1,
     verify_theorem2,
 )
+from apx import search
 from apx.counting import require_cube
 from apx.group import orbit_split
 from apx.report import report_json
@@ -111,6 +113,21 @@ def test_canonicalization_never_changes_the_maximum():
                 plain_t = extremal_search(g, d, "t3density")
                 canon_t = extremal_search(g, d, "t3density", canonicalize=True)
                 assert plain_t.max_value == canon_t.max_value
+
+
+def test_search_candidate_count_is_exact():
+    # The ceiling check counts exactly what the search enumerates: a
+    # ceiling at the count passes, one below it refuses with the count.
+    for g in enumerate_abelian_groups(9):
+        objectives = ("prob", "t3density") if g.order % 2 else ("prob",)
+        for objective in objectives:
+            for d in range(1, g.order + 1):
+                count = extremal_search(g, d, objective).enumerated
+                with mock.patch.object(search, "_MAX_SEARCH_CANDIDATES", count):
+                    extremal_search(g, d, objective, canonicalize=True)
+                with mock.patch.object(search, "_MAX_SEARCH_CANDIDATES", count - 1):
+                    with pytest.raises(ApxError, match=f"has {count} candidates"):
+                        extremal_search(g, d, objective)
 
 
 def test_canonicalization_prunes_orbits():
