@@ -2,8 +2,8 @@
 
 These operations are the toolkit's ground truth. Every result is an exact
 integer or Fraction; the integer kernels run on numpy gathers over the
-group tables but never touch floating point. The spectral module is
-checked against these, never the other way round.
+group tables and pair sums but never touch floating point. The spectral
+module is checked against these, never the other way round.
 
 The cube kernels (t3_cube, closure_cube) score every subset of a group at
 once and are tested against the per-set oracles beside them.
@@ -17,7 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ApxError, EmptySetError, InvalidConnectionSetError
-from .group import _MAX_CUBE_BYTES, GroupSpec, add_table, double_table, neg_table
+from .group import (
+    _MAX_CUBE_BYTES,
+    GroupSpec,
+    add_table,
+    double_table,
+    neg_table,
+    pair_sums,
+)
 
 
 @dataclass(frozen=True)
@@ -83,11 +90,11 @@ class SubsetMask:
 
 
 def _decode(s: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
-    """(element indices, 0/1 membership over the group) from one decode of s."""
-    elems = np.array(s.indices(), dtype=np.int64)
-    memb = np.zeros(s.group.order, dtype=np.uint8)
-    memb[elems] = 1
-    return elems, memb
+    """(element indices, 0/1 membership over the group), read off the mask."""
+    n = s.group.order
+    packed = np.frombuffer(s.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+    memb = np.unpackbits(packed, count=n, bitorder="little")
+    return np.flatnonzero(memb), memb
 
 
 def sum_closure_count(s: SubsetMask) -> int:
@@ -95,8 +102,7 @@ def sum_closure_count(s: SubsetMask) -> int:
     if s.size == 0:
         return 0
     elems, memb = _decode(s)
-    block = add_table(s.group)[np.ix_(elems, elems)]
-    return int(memb[block].sum(dtype=np.int64))
+    return int(memb[pair_sums(s.group, elems, elems)].sum(dtype=np.int64))
 
 
 def direct_prob(s: SubsetMask) -> Fraction:
@@ -110,16 +116,16 @@ def direct_t3(s: SubsetMask) -> int:
     """Count pairs (x, step) with x, x+step, x+2*step all in S.
 
     The step 0 pairs (degenerate progressions) are included, so the full
-    group scores order^2. Works for every group order.
+    group scores order^2. Works for every group order. (x, step) ->
+    (a, b) = (x, x + step) is a bijection, so this counts the pairs
+    (a, b) in S^2 with 2b - a in S.
     """
     if s.size == 0:
         return 0
     g = s.group
     elems, memb = _decode(s)
-    rows = add_table(g)[elems]
-    at_step = memb[rows]
-    at_double = memb[rows[:, double_table(g)]]
-    return int((at_step & at_double).sum(dtype=np.int64))
+    ends = pair_sums(g, neg_table(g)[elems], double_table(g)[elems])
+    return int(memb[ends].sum(dtype=np.int64))
 
 
 # Byte budget for one block of edge-row intersections in

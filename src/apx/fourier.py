@@ -67,6 +67,17 @@ def plancherel_residual(spectrum: Spectrum, size: int) -> float:
     return abs(energy - size / spectrum.group.order)
 
 
+def _prob_from_coeffs(coeffs: np.ndarray, size: int) -> float:
+    n = coeffs.size
+    return float(np.real(np.sum(coeffs**3)) * n * n / (size * size))
+
+
+def _t3_from_coeffs(group: GroupSpec, coeffs: np.ndarray) -> float:
+    paired = coeffs[neg_table(group)[double_table(group)]]
+    n = group.order
+    return float(np.real(np.sum(coeffs * coeffs * paired)) * n * n)
+
+
 def prob_spectral(s: SubsetMask) -> float:
     """Sum-closure probability as (n^2/d^2) * sum of coefficient cubes.
 
@@ -76,19 +87,14 @@ def prob_spectral(s: SubsetMask) -> float:
         raise EmptySetError("spectral probability needs a non-empty set")
     if not s.is_symmetric:
         raise SymmetryRequiredError("spectral probability needs S = -S")
-    c = dft_indicator(s).coeffs
-    n = s.group.order
-    return float(np.real(np.sum(c**3)) * n * n / (s.size * s.size))
+    return _prob_from_coeffs(dft_indicator(s).coeffs, s.size)
 
 
 def t3_spectral(s: SubsetMask) -> float:
     """Progression count as n^2 * sum_m coeff[m]^2 * coeff[-2m]."""
     if s.size == 0:
         raise EmptySetError("spectral progression count needs a non-empty set")
-    c = dft_indicator(s).coeffs
-    paired = c[neg_table(s.group)[double_table(s.group)]]
-    n = s.group.order
-    return float(np.real(np.sum(c * c * paired)) * n * n)
+    return _t3_from_coeffs(s.group, dft_indicator(s).coeffs)
 
 
 def top_nonzero_coefficient(spectrum: Spectrum):
@@ -346,22 +352,25 @@ def random_crosscheck(
         where = f"trial {trial}: group {group.label}, set size {s.size}"
 
         spectrum = dft_indicator(s)
+        coeffs = spectrum.coeffs
         resid = plancherel_residual(spectrum, s.size)
         max_plancherel = max(max_plancherel, resid)
         if resid > tol_plancherel:
             failures.append(f"{where}: plancherel residual {resid:.3e}")
 
-        imag = float(np.max(np.abs(spectrum.coeffs.imag)))
+        imag = float(np.max(np.abs(coeffs.imag)))
         max_imag = max(max_imag, imag)
 
-        prob_err = abs(prob_spectral(s) - float(direct_prob(s)))
+        # s is symmetric and non-empty by construction, so both identities
+        # read this one spectrum.
+        prob_err = abs(_prob_from_coeffs(coeffs, s.size) - float(direct_prob(s)))
         max_prob_err = max(max_prob_err, prob_err)
         if prob_err > tol_prob:
             failures.append(f"{where}: prob mismatch {prob_err:.3e}")
 
         if group.order % 2 == 1:
             odd_trials += 1
-            t3_err = abs(t3_spectral(s) - direct_t3(s))
+            t3_err = abs(_t3_from_coeffs(group, coeffs) - direct_t3(s))
             max_t3_err = max(max_t3_err, t3_err)
             if t3_err > tol_t3:
                 failures.append(f"{where}: t3 mismatch {t3_err:.3e}")

@@ -8,7 +8,9 @@ with the first factor fastest:
 The same index space is used for subset bitmasks and for spectral
 coefficients, so everything downstream agrees on element numbering.
 Arithmetic goes through lookup tables built lazily by the module-level
-table functions.
+table functions. Pair sums of two index arrays go through a carry-free
+embedding (pair_sums) that is O(n) in size, so only kernels that need
+every one of the n^2 sums build the n x n addition table.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import ApxError
 _MAX_ORDER = 1 << 62
 
 # Largest int64 addition table add_table builds: 64 MiB, order <= 2896.
+# pair_sums holds its reduce table and its result to the same ceiling.
 _MAX_TABLE_BYTES = 1 << 26
 
 # Largest subset cube the suite kernels build: 2-byte cells, 32 MiB, so at
@@ -198,6 +201,59 @@ def double_table(group: GroupSpec) -> np.ndarray:
     return _coordinate_scaling_table(group, lambda m: 2)
 
 
+def require_pair_sums(group: GroupSpec, rows: int, cols: int) -> None:
+    """Raise ApxError when pair_sums of rows x cols elements passes _MAX_TABLE_BYTES.
+
+    Both the rows x cols int32 result and the group's reduce table (see
+    _sum_kernel) count against the ceiling.
+    """
+    for nbytes, what in (
+        (4 * math.prod(2 * m - 1 for m in group.moduli), "pair-sum table"),
+        (4 * rows * cols, f"{rows} x {cols} pair sums"),
+    ):
+        if nbytes > _MAX_TABLE_BYTES:
+            raise ApxError(
+                f"the {what} of group {group.label} (order {group.order}) "
+                f"needs {nbytes} bytes ({nbytes / 2**30:.1f} GiB), over the "
+                f"{_MAX_TABLE_BYTES}-byte ceiling"
+            )
+
+
+@lru_cache(maxsize=256)
+def _sum_kernel(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(embed, reduce), the carry-free coordinates behind pair_sums.
+
+    embed[x] = sum_i x_i * P_i with padded strides P_i = prod_{j<i} (2 m_j - 1).
+    A coordinate sum a_i + b_i is at most 2 m_i - 2, so embed[a] + embed[b]
+    never carries from one factor into the next, and reduce maps that
+    padded value back to the index of a + b. reduce has
+    prod (2 m_i - 1) < 2^r * n int32 cells. The factors are taken as outer
+    sums, last factor outermost, so a flat index is a mixed-radix index
+    with the first factor fastest.
+    """
+    embed = reduce = np.zeros(1, dtype=np.int32)
+    stride = pad = 1
+    for m in group.moduli:
+        embed = np.add.outer(pad * np.arange(m, dtype=np.int32), embed).reshape(-1)
+        digit = np.arange(2 * m - 1, dtype=np.int32) % m
+        reduce = np.add.outer(stride * digit, reduce).reshape(-1)
+        stride *= m
+        pad *= 2 * m - 1
+    embed.setflags(write=False)
+    reduce.setflags(write=False)
+    return embed, reduce
+
+
+def pair_sums(group: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a| x |b| int32 array of the element indices a[i] + b[j].
+
+    O(|a| * |b|) work and memory, checked by require_pair_sums first.
+    """
+    require_pair_sums(group, len(a), len(b))
+    embed, reduce = _sum_kernel(group)
+    return reduce[embed[a][:, None] + embed[b][None, :]]
+
+
 def orbit_split(group: GroupSpec):
     """Split indices into involution-fixed points and {x, -x} pairs.
 
@@ -205,8 +261,10 @@ def orbit_split(group: GroupSpec):
     element), which callers that draw random bits per orbit rely on.
     """
     nt = neg_table(group)
-    fixed = [x for x in range(group.order) if int(nt[x]) == x]
-    pairs = [(x, int(nt[x])) for x in range(group.order) if x < int(nt[x])]
+    x = np.arange(group.order)
+    low = np.flatnonzero(x < nt)
+    fixed = np.flatnonzero(nt == x).tolist()
+    pairs = list(zip(low.tolist(), nt[low].tolist()))
     return fixed, pairs
 
 

@@ -38,6 +38,7 @@ from .group import (
     dilation_perm,
     enumerate_abelian_groups,
     orbit_split,
+    require_pair_sums,
     units,
 )
 from .util import pmap
@@ -132,6 +133,10 @@ def _maximize(group: GroupSpec, candidates, evaluate, perms=None, witness_cap=1)
 # 104 s), so the ceiling is about 10 s of work.
 _MAX_SEARCH_CANDIDATES = 1 << 20
 
+# Most permutation cells --canonicalize builds. They are Python ints in
+# tuples: about 32 MB and 0.4 s at the ceiling on a 2-CPU VM.
+_MAX_PERM_CELLS = 1 << 20
+
 
 @dataclass
 class SearchReport:
@@ -170,27 +175,26 @@ def extremal_search(
         raise ValueError(f"subset size {d} out of range for order {group.order}")
     if witness_cap < 1:
         raise ValueError(f"witness_cap must be >= 1, got {witness_cap!r}")
-    profile = size_profile(group.order, d)
+    n = group.order
+    profile = size_profile(n, d)
     if objective == "prob":
         bound = closure_bound(profile.q, profile.alpha, gamma0)
-        fixed, pairs = orbit_split(group)
+        # x = -x has 2 solutions per even factor and 1 per odd one.
+        fixed_count = 1 << sum(m % 2 == 0 for m in group.moduli)
+        pair_count = (n - fixed_count) // 2
         count = sum(
-            comb(len(fixed), k) * comb(len(pairs), (d - k) // 2)
+            comb(fixed_count, k) * comb(pair_count, (d - k) // 2)
             for k in range(d & 1, d + 1, 2)
         )
-        candidates = _symmetric_bits(fixed, pairs, d)
         orbit_perms = _prob_orbit_perms
         evaluate = direct_prob
     elif objective == "t3density":
-        if group.order % 2 == 0:
+        if n % 2 == 0:
             raise OddOrderRequiredError(
                 "progression-density search runs on odd-order groups"
             )
         bound = closure_bound(profile.q, profile.alpha, None)
-        count = comb(group.order, d)
-        candidates = (
-            sum(1 << i for i in combo) for combo in combinations(range(group.order), d)
-        )
+        count = comb(n, d)
         orbit_perms = _t3_orbit_perms
         denom = d * d
 
@@ -199,13 +203,28 @@ def extremal_search(
 
     else:
         raise ValueError(f"objective must be 'prob' or 't3density', got {objective!r}")
+    where = f"the {objective} search of group {group.label} (order {n}) at size {d}"
     if count > _MAX_SEARCH_CANDIDATES:
         raise ApxError(
-            f"the {objective} search of group {group.label} (order {group.order}) "
-            f"at size {d} has {count} candidates, over the "
+            f"{where} has {count} candidates, over the "
             f"{_MAX_SEARCH_CANDIDATES}-candidate ceiling"
         )
+    require_pair_sums(group, d, d)
+    if canonicalize:
+        # One n-cell permutation per unit, times n translations for t3density.
+        perm_cells = n if objective == "prob" else n * n
+        if perm_cells <= _MAX_PERM_CELLS:  # else units() could walk ~n residues
+            perm_cells *= len(units(group))
+        if perm_cells > _MAX_PERM_CELLS:
+            raise ApxError(
+                f"{where} needs at least {perm_cells} permutation cells to "
+                f"canonicalize, over the {_MAX_PERM_CELLS}-cell ceiling"
+            )
 
+    if objective == "prob":
+        candidates = _symmetric_bits(*orbit_split(group), d)
+    else:
+        candidates = (sum(1 << i for i in combo) for combo in combinations(range(n), d))
     perms = orbit_perms(group) if canonicalize else None
     best, witnesses, enumerated, pruned = _maximize(
         group, candidates, evaluate, perms, witness_cap

@@ -1,7 +1,7 @@
 import numpy as np
 
 from apx import SubsetMask, make_group
-from apx.group import add_table, neg_table
+from apx.group import add_table, double_table, neg_table
 
 
 def mask(moduli, indices):
@@ -63,3 +63,30 @@ def dense_cayley_triangles(s):
     closed_walks = int(((adj @ adj) * adj).sum())
     assert closed_walks % 6 == 0
     return closed_walks // 6
+
+
+# The n x n table forms of counting.sum_closure_count and counting.direct_t3,
+# kept as references for the pair-sum kernels.
+
+
+def _decode(s):
+    elems = np.array(s.indices(), dtype=np.int64)
+    memb = np.zeros(s.group.order, dtype=np.uint8)
+    memb[elems] = 1
+    return elems, memb
+
+
+def table_sum_closure_count(s):
+    """#{(x, y) in S^2 : x + y in S}, gathered from the addition table."""
+    elems, memb = _decode(s)
+    return int(memb[add_table(s.group)[np.ix_(elems, elems)]].sum(dtype=np.int64))
+
+
+def table_t3(s):
+    """#{(x, step) : x, x + step, x + 2 step in S}, from the addition table."""
+    g = s.group
+    elems, memb = _decode(s)
+    rows = add_table(g)[elems]
+    at_step = memb[rows]
+    at_double = memb[rows[:, double_table(g)]]
+    return int((at_step & at_double).sum(dtype=np.int64))

@@ -83,6 +83,15 @@ def test_search_command(capsys):
     assert doc["witnesses"] == ["{1,2,3,4}"]
 
 
+def test_compute_on_a_large_group_needs_no_table(capsys):
+    # Neither Prob[S] nor T3 of a non-Cayley set builds the n x n table.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "compute", "--group", "65536", "--set", "1,2,3")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "prob_direct = 1/3" in out and "t3_direct = 5" in out
+
+
 def test_search_past_the_candidate_ceiling_exits_2(capsys):
     for argv, count in [
         (("--group", "2,2,2,2,2", "--size", "16"), 601080390),  # C(32, 16)
@@ -92,6 +101,17 @@ def test_search_past_the_candidate_ceiling_exits_2(capsys):
         code, out, err = run(capsys, "search", *argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == "" and f"has {count} candidates" in err
+
+
+def test_search_past_the_permutation_ceiling_exits_2(capsys):
+    for argv, cells in [
+        (("--group", "2001", "--size", "1", "--objective", "t3density"), 2001 * 2001),
+        (("--group", "3001", "--size", "1"), 3001 * 3000),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search", *argv, "--canonicalize")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and f"at least {cells} permutation cells" in err
 
 
 def test_verify_lemma1_default_passes(capsys):
@@ -267,7 +287,8 @@ def test_malformed_inputs_exit_2(capsys, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "compute", "--group", "5", "--set", "1", "--format", "csv")
     assert code == 2
-    code, out, err = run(capsys, "compute", "--group", "131072", "--set", "1")
+    # A Cayley-valid set still needs the n x n table for its triangles.
+    code, out, err = run(capsys, "compute", "--group", "131072", "--set", "1,131071")
     assert code == 2 and out == "" and "addition table" in err
     for cap in ("0", "-1"):
         code, out, err = run(

@@ -28,7 +28,17 @@ from apx.counting import closure_cube, t3_cube
 from apx.group import _MAX_CUBE_BYTES, add_table, dilation_perm, neg_table, units
 from apx.search import _symmetric_orbits
 
-from conftest import add, dense_cayley_triangles, empty, full, halve, mask, neg
+from conftest import (
+    add,
+    dense_cayley_triangles,
+    empty,
+    full,
+    halve,
+    mask,
+    neg,
+    table_sum_closure_count,
+    table_t3,
+)
 
 
 # Definition-level oracles, written against the scalar group API only.
@@ -328,6 +338,32 @@ def test_closure_cube_refuses_cells_past_uint16():
     assert cube[1] == sum_closure_count(SubsetMask.from_indices(g, range(255)))
     with pytest.raises(ValueError, match="256 elements"):
         closure_cube(g, [tuple(range(256))])
+
+
+# The pair-sum oracles against their addition-table forms in conftest.
+
+oracle_groups = st.one_of(
+    st.sampled_from(EDGE_GROUPS),
+    st.lists(st.integers(1, 16), min_size=1, max_size=3).filter(
+        lambda moduli: math.prod(moduli) <= 256
+    ),
+).map(make_group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_groups, st.integers(0, (1 << 256) - 1))
+@example(make_group([1]), 1)
+@example(make_group([1, 5]), 0b10110)
+@example(make_group([2, 1, 2]), 0b1011)
+@example(make_group([2, 2, 2, 2]), 0xBEEF)
+@example(make_group([3, 3, 3]), (1 << 27) - 1)
+def test_pair_sum_oracles_match_table_references(g, bits):
+    s = SubsetMask(g, bits % (1 << g.order))
+    if s.size == 0:
+        assert sum_closure_count(s) == direct_t3(s) == 0
+        return
+    assert sum_closure_count(s) == table_sum_closure_count(s)
+    assert direct_t3(s) == table_t3(s)
 
 
 # cayley_triangles_direct against the dense int64 reference in conftest.

@@ -1,8 +1,11 @@
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apx import ApxError, enumerate_abelian_groups, make_group
 from apx.group import (
@@ -11,7 +14,10 @@ from apx.group import (
     dilation_perm,
     double_table,
     neg_table,
+    orbit_split,
+    pair_sums,
     parse_group,
+    require_pair_sums,
     units,
 )
 
@@ -169,3 +175,54 @@ def test_add_table_refuses_oversized_groups():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=4)
+    .filter(lambda moduli: math.prod(moduli) <= 200)
+    .map(make_group),
+    st.data(),
+)
+@example(make_group([1]), None)
+@example(make_group([1, 5]), None)
+@example(make_group([2, 1, 2]), None)
+@example(make_group([2, 2, 2, 2]), None)
+@example(make_group([3, 3, 3]), None)
+def test_pair_sums_match_scalar_addition(g, data):
+    if data is None:  # an edge group: every pair
+        a = b = np.arange(g.order)
+    else:
+        indices = st.lists(st.integers(0, g.order - 1), max_size=12)
+        a = np.array(data.draw(indices), dtype=np.int64)
+        b = np.array(data.draw(indices), dtype=np.int64)
+    sums = pair_sums(g, a, b)
+    assert sums.shape == (len(a), len(b))
+    for i, x in enumerate(a.tolist()):
+        for j, y in enumerate(b.tolist()):
+            assert int(sums[i, j]) == add(g, x, y)
+
+
+def test_pair_sums_refuse_oversized_inputs():
+    big = make_group([10000])
+    a = np.arange(5000)
+    require_pair_sums(big, 4096, 4096)  # 64 MiB of int32 fits
+    tracemalloc.start()
+    try:
+        # 4 * 5000 * 5000 result bytes; then a reduce table of 3^16 cells
+        with pytest.raises(ApxError, match="5000 x 5000 pair sums .* needs 100000000 bytes"):
+            pair_sums(big, a, a)
+        with pytest.raises(ApxError, match="pair-sum table .* needs 172186884 bytes"):
+            pair_sums(make_group([2] * 16), a[:1], a[:1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_orbit_split_matches_scalar_negation():
+    for g in enumerate_abelian_groups(40):
+        fixed, pairs = orbit_split(g)
+        assert fixed == [x for x in range(g.order) if neg(g, x) == x]
+        assert pairs == [(x, neg(g, x)) for x in range(g.order) if x < neg(g, x)]
+        assert len(fixed) == 1 << sum(m % 2 == 0 for m in g.moduli)

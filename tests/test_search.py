@@ -130,6 +130,24 @@ def test_search_candidate_count_is_exact():
                         extremal_search(g, d, objective)
 
 
+def test_search_permutation_cells_are_exact():
+    # The canonicalization ceiling counts the cells the permutations hold:
+    # a ceiling at the count passes, one below it refuses with the count.
+    for g in enumerate_abelian_groups(9):
+        for objective, perms in (
+            ("prob", search._prob_orbit_perms),
+            ("t3density", search._t3_orbit_perms),
+        ):
+            if objective == "t3density" and g.order % 2 == 0:
+                continue
+            cells = sum(len(perm) for perm in perms(g))
+            with mock.patch.object(search, "_MAX_PERM_CELLS", cells):
+                extremal_search(g, 1, objective, canonicalize=True)
+            with mock.patch.object(search, "_MAX_PERM_CELLS", cells - 1):
+                with pytest.raises(ApxError, match=f"at least {cells} permutation"):
+                    extremal_search(g, 1, objective, canonicalize=True)
+
+
 def test_canonicalization_prunes_orbits():
     rep = extremal_search(make_group([7]), 2, "prob", canonicalize=True)
     # the three symmetric pairs {1,6}, {2,5}, {3,4} form one dilation orbit
