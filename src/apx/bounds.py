@@ -6,9 +6,10 @@ The central object is the three-branch ceiling
                                (q^2 + 2*a*q + 4*a^2 - 6*a + 3) / (q+1)^2,
                                gamma0 )
 
-for the size profile n/|S| = q + a. Everything here is a Fraction; the
-grid scans hit boundary points exactly and report equalities separately
-from violations.
+for the size profile n/|S| = q + a. Everything here is a Fraction, except
+inside the grid scan, which decides its boundary points in integer
+arithmetic over the grid's common denominators; the scan hits boundary
+points exactly and reports equalities separately from violations.
 """
 
 from __future__ import annotations
@@ -273,38 +274,89 @@ def _eta_grid(eta_steps: int) -> list[Fraction]:
 # double rounding error on these O(1) expressions is far below 1e-9.
 _SCREEN_MARGIN = -1e-9
 
+# The float screen takes whole alpha rows, at most this many grid points at a
+# time, so each of its temporaries stays near 1 MB.
+_SCREEN_POINTS = 1 << 17
+
+
+def _lemma2_sign(
+    num: int, den: int, e: int, e_den: int, gamma0: Fraction, rhs: Fraction
+):
+    """Exact sign of lhs - rhs for lemma2_check at ratio num/den, eta = e/e_den.
+
+    The arithmetic of lemma2_check in Python ints: with q', r = divmod(num,
+    den), both branches of closure_bound(q', r/den) share the denominator
+    den^2, and every comparison is a cross-multiplication. Returns
+    (sign, q', r).
+    """
+    qp, r = divmod(num, den)
+    qd = qp * den
+    dd = den * den
+    # Each branch is m_num / (m_den * den^2); keep the larger.
+    m_num, m_den = qd * qd - r * qd + r * r, qp * qp
+    t2_num = qd * qd + 2 * r * qd + 4 * r * r - 6 * r * den + 3 * dd
+    t2_den = (qp + 1) * (qp + 1)
+    if t2_num * m_den > m_num * t2_den:
+        m_num, m_den = t2_num, t2_den
+    m_den *= dd
+    if gamma0.numerator * m_den > m_num * gamma0.denominator:
+        m_num, m_den = gamma0.numerator, gamma0.denominator
+    # lhs = (e^2 m + 3 (e_den - e)^2) / e_den^2 with m = m_num / m_den.
+    lhs_num = e * e * m_num + 3 * (e_den - e) * (e_den - e) * m_den
+    diff = lhs_num * rhs.denominator - rhs.numerator * e_den * e_den * m_den
+    return (diff > 0) - (diff < 0), qp, r
+
 
 def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
     """Scan all (alpha, k, eta) for one q.
 
     Grid values are exact; a float pre-screen skips points that are safely
-    below the ceiling, and every point at or near the boundary is re-checked
-    in exact rationals, so all reported verdicts are exact. The screen works
-    on one alpha row of q * eta_steps (k, eta) points at a time.
+    below the ceiling, and every point at or near the boundary is decided
+    exactly by _lemma2_sign, so all reported verdicts are exact. An equality
+    reuses the row's exact rhs as its lhs; a violation is rebuilt by
+    lemma2_check, the reference oracle.
     """
     gamma0 = as_fraction(gamma0)
-    g0f = float(gamma0)
+    alphas = _alpha_grid(alpha_steps)
     etas = _eta_grid(eta_steps)
-    # alpha = i / a_den and eta = e_num / e_den, so q' is an exact integer floor.
+    rhs = [closure_bound(q, alpha, gamma0).value for alpha in alphas]
+    rhs_f = np.array([float(v) for v in rhs])[:, None, None]
+    # alpha = i / a_den and eta = e / e_den, so (q + alpha) / (k * eta) is
+    # num / den with num = (q * a_den + i) * e_den and den = a_den * k * e.
     a_den = alpha_steps - 1
     e_den = 4 * eta_steps
-    e_num = 3 * eta_steps + np.arange(1, eta_steps + 1, dtype=np.int64)
-    e_f = e_num / e_den
+    e_grid = range(3 * eta_steps + 1, 4 * eta_steps + 1)
+    e_num = np.array(e_grid, dtype=np.int64)
     den = a_den * np.arange(1, q + 1, dtype=np.int64)[:, None] * e_num
+    rows = max(1, _SCREEN_POINTS // den.size)
     violations = []
     equalities = []
-    for i, alpha in enumerate(_alpha_grid(alpha_steps)):
-        rhs_f = float(closure_bound(q, alpha, gamma0).value)
-        num = (q * a_den + i) * e_den
+    for first in range(0, alpha_steps, rows):
+        block = np.arange(first, min(first + rows, alpha_steps), dtype=np.int64)
+        num = ((q * a_den + block) * e_den)[:, None, None]
         q_prime = num // den
         term1, term2 = _branches(q_prime, num / den - q_prime)
-        lhs_f = _induction_step(e_f, np.maximum(np.maximum(term1, term2), g0f))
-        for k0, j in zip(*np.nonzero(lhs_f - rhs_f >= _SCREEN_MARGIN)):
-            point = lemma2_check(q, alpha, int(k0) + 1, etas[j], gamma0)
-            if not point.holds_le:
+        m_f = np.maximum(np.maximum(term1, term2), float(gamma0))
+        lhs_f = _induction_step(e_num / e_den, m_f) - rhs_f[first : first + rows]
+        # np.nonzero walks the block in (alpha, k, eta) order.
+        for i, k0, j in zip(*np.nonzero(lhs_f >= _SCREEN_MARGIN)):
+            i, k, e = first + int(i), int(k0) + 1, e_grid[j]
+            sign, qp, r = _lemma2_sign(
+                (q * a_den + i) * e_den, a_den * k * e, e, e_den, gamma0, rhs[i]
+            )
+            if sign > 0:
+                point = lemma2_check(q, alphas[i], k, etas[j], gamma0)
+                if point.holds_le:
+                    raise ApxError("internal: lemma2 kernel and oracle disagree")
                 violations.append(point)
-            elif point.lhs == point.rhs:
-                equalities.append(point)
+            elif sign == 0:
+                equalities.append(
+                    Lemma2Point(
+                        q=q, alpha=alphas[i], k=k, eta=etas[j], q_prime=qp,
+                        alpha_prime=Fraction(r, a_den * k * e),
+                        lhs=rhs[i], rhs=rhs[i], holds_le=True, strict=False,
+                    )
+                )
     return alpha_steps * q * eta_steps, violations, equalities
 
 

@@ -8,11 +8,16 @@ least (1-eps)*d^2 must concentrate at 0: a_0 >= (1-eps)*d, for eps below
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
-from .errors import SymmetryRequiredError
+import numpy as np
+
+from .errors import ApxError, SymmetryRequiredError
 from .util import as_fraction, pmap
 
 
@@ -90,13 +95,18 @@ class Lemma1Check:
     ok: bool  # hypothesis implies conclusion
 
 
+def _check_eps(eps) -> Fraction:
+    eps = as_fraction(eps)
+    if not 0 <= eps < 1:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    return eps
+
+
 def implication_check(seq: IntWeightSeq, eps) -> Lemma1Check:
     """Exact check of the concentration implication for one sequence."""
     if not seq.is_symmetric:
         raise SymmetryRequiredError("the implication is stated for a_j = a_{-j}")
-    eps = as_fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    eps = _check_eps(eps)
     d = seq.total
     mps = min_product_sum(seq)
     hypothesis = mps >= (1 - eps) * d * d
@@ -131,16 +141,56 @@ def _half_tails(radius: int, budget: int):
             yield (first,) + rest
 
 
+def _window_triples(radius: int):
+    """The pairs (i, j) of min_product_sum with i + j inside the window.
+
+    Pairs whose sum leaves the window contribute 0. On a symmetric sequence
+    a pair's term depends only on the multiset {|i|, |j|, |i+j|}, so the
+    pairs are grouped by it: returns index arrays (x, y, z) into the half
+    sequence (a_0, ..., a_R) and each group's pair count.
+    """
+    groups = Counter(
+        tuple(sorted((abs(i), abs(j), abs(i + j))))
+        for i in range(-radius, radius + 1)
+        for j in range(-radius, radius + 1)
+        if abs(i + j) <= radius
+    )
+    x, y, z = (np.array(column, dtype=np.int64) for column in zip(*groups))
+    return x, y, z, np.array(list(groups.values()), dtype=np.int64)
+
+
+# Tails per int64 matrix in _scan_center: about 1 MB per temporary at radius 5.
+_TAIL_CHUNK = 4096
+
+
 def _scan_center(a0: int, d_max: int, radius: int, eps: Fraction):
+    """Check every symmetric sequence with center a0 and total <= d_max.
+
+    Each chunk of tails is stacked into an int64 matrix of half sequences,
+    and every row's min-product sum comes from _window_triples. Both sides
+    of the implication compare against integer thresholds per total d:
+    mps >= ceil((1-eps) d^2) and a_0 >= ceil((1-eps) d); each is at most
+    d^2, whatever eps's denominator. Violations are rebuilt by
+    implication_check, the reference oracle.
+    """
+    x, y, z, mult = _window_triples(radius)
+    scale = 1 - eps
+    mps_min = np.array([math.ceil(scale * d * d) for d in range(d_max + 1)])
+    center_ok = np.array([a0 >= math.ceil(scale * d) for d in range(d_max + 1)])
     checked = 0
     violations = []
-    for tail in _half_tails(radius, (d_max - a0) // 2):
-        if a0 == 0 and not any(tail):
-            continue
-        seq = IntWeightSeq.symmetric(a0, tail)
-        checked += 1
-        result = implication_check(seq, eps)
-        if not result.ok:
+    tails = _half_tails(radius, (d_max - a0) // 2)
+    while chunk := list(islice(tails, _TAIL_CHUNK)):
+        half = np.array([(a0, *tail) for tail in chunk], dtype=np.int64)
+        d = 2 * half.sum(axis=1) - a0
+        hx, hy, hz = half[:, x], half[:, y], half[:, z]
+        mps = np.minimum(np.minimum(hx * hy, hx * hz), hy * hz) @ mult
+        # d = 0 is the all-zero sequence, which has no total to concentrate.
+        checked += int(np.count_nonzero(d))
+        for row in np.flatnonzero((d > 0) & (mps >= mps_min[d]) & ~center_ok[d]):
+            result = implication_check(IntWeightSeq.symmetric(a0, chunk[row]), eps)
+            if result.ok:
+                raise ApxError("internal: lemma1 kernel and oracle disagree")
             violations.append(result)
     return checked, violations
 
@@ -156,7 +206,7 @@ def bruteforce_scan(
     """
     if d_max < 1 or radius < 0:
         raise ValueError("need d_max >= 1 and radius >= 0")
-    eps = as_fraction(eps)
+    eps = _check_eps(eps)
     worker = partial(_scan_center, d_max=d_max, radius=radius, eps=eps)
     chunks = pmap(worker, range(d_max + 1), threads=threads)
     violations = [v for chunk in chunks for v in chunk[1]]

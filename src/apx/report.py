@@ -38,7 +38,7 @@ def _key(key) -> str:
 
 def _write_members(members: list, out: list[str]) -> None:
     """Write (spelled key, value) pairs as an object sorted by key."""
-    members.sort(key=lambda member: member[0])
+    members.sort(key=itemgetter(0))
     out.append("{")
     for i, (key, value) in enumerate(members):
         if i:
@@ -49,6 +49,20 @@ def _write_members(members: list, out: list[str]) -> None:
         out.append(":")
         _write_json(value, out)
     out.append("}")
+
+
+@lru_cache(maxsize=None)
+def _field_keys(cls) -> tuple[tuple[str, str], ...]:
+    """A dataclass's field names in key order, each with its spelled prefix.
+
+    The prefix is the JSON key and colon, after a comma on all but the
+    first field. Field names are unique, so they need no duplicate check.
+    """
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    return tuple(
+        (name, ("," if i else "") + json.dumps(name) + ":")
+        for i, name in enumerate(names)
+    )
 
 
 def _write_json(obj, out: list[str]) -> None:
@@ -75,8 +89,11 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, dict):
         _write_members([(_key(k), v) for k, v in obj.items()], out)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = dataclasses.fields(obj)
-        _write_members([(f.name, getattr(obj, f.name)) for f in fields], out)
+        out.append("{")
+        for name, prefix in _field_keys(type(obj)):
+            out.append(prefix)
+            _write_json(getattr(obj, name), out)
+        out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apx import (
     GAMMA0,
@@ -17,7 +20,15 @@ from apx import (
     lemma2_scan,
     size_profile,
 )
-from apx.bounds import _alpha_grid, _eta_grid, induction_bound
+from apx import bounds
+from apx.bounds import (
+    _alpha_grid,
+    _eta_grid,
+    _lemma2_sign,
+    _scan_one_q,
+    induction_bound,
+)
+from apx.errors import ApxError
 
 
 def test_size_profile_examples():
@@ -247,3 +258,57 @@ def test_lemma2_screen_never_skips_a_boundary_point():
             boundary += 1
             assert key in flagged
     assert boundary > 0
+
+
+SCAN_GAMMA0S = [
+    Fraction(0), Fraction(1, 2), GAMMA0, Fraction(99, 100), Fraction(3, 2),
+    Fraction(10**12, 10**12 + 1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6), st.integers(2, 9), st.integers(2, 6),
+    st.sampled_from(SCAN_GAMMA0S), st.integers(1, 400),
+)
+@example(2, 2, 2, Fraction(0), 1)
+@example(2, 5, 3, Fraction(0), 7)
+@example(6, 9, 6, Fraction(10**12, 10**12 + 1), 1 << 17)
+def test_scan_one_q_matches_lemma2_check(q, alpha_steps, eta_steps, gamma0, block):
+    # Every grid point goes through the oracle. The exact kernel must give
+    # the oracle's sign of lhs - rhs, q' and alpha' at each of them, and the
+    # scan must report the same violations and equalities in the same
+    # (alpha, k, eta) order, whatever block of alpha rows its float screen
+    # takes at a time.
+    a_den, e_den = alpha_steps - 1, 4 * eta_steps
+    expected_viol, expected_eq = [], []
+    for i, alpha in enumerate(_alpha_grid(alpha_steps)):
+        rhs = closure_bound(q, alpha, gamma0).value
+        for k in range(1, q + 1):
+            for eta in _eta_grid(eta_steps):
+                p = lemma2_check(q, alpha, k, eta, gamma0)
+                e = int(eta * e_den)
+                num, den = (q * a_den + i) * e_den, a_den * k * e
+                sign, q_prime, r = _lemma2_sign(num, den, e, e_den, gamma0, rhs)
+                assert sign == (p.lhs > p.rhs) - (p.lhs < p.rhs)
+                assert (q_prime, Fraction(r, den)) == (p.q_prime, p.alpha_prime)
+                if not p.holds_le:
+                    expected_viol.append(p)
+                elif p.lhs == p.rhs:
+                    expected_eq.append(p)
+    with patch.object(bounds, "_SCREEN_POINTS", block):
+        points, violations, equalities = _scan_one_q(q, alpha_steps, eta_steps, gamma0)
+    assert points == alpha_steps * q * eta_steps
+    assert violations == expected_viol
+    assert equalities == expected_eq
+
+
+def test_scan_one_q_rebuilds_violations_with_the_oracle():
+    # A kernel verdict of "violated" is handed to lemma2_check; when the
+    # oracle says the point holds, the scan refuses instead of reporting it.
+    def always_violated(num, den, *args):
+        return (1,) + divmod(num, den)
+
+    with patch.object(bounds, "_lemma2_sign", always_violated):
+        with pytest.raises(ApxError, match="disagree"):
+            _scan_one_q(2, 3, 2, GAMMA0)

@@ -128,6 +128,12 @@ def test_verify_lemma1_tight_eps_fails(capsys):
     assert "(3, 3, 3)" in out
 
 
+@pytest.mark.parametrize("eps", ["--eps=3/2", "--eps=1", "--eps=-1/10"])
+def test_verify_lemma1_eps_out_of_range_exits_2(capsys, eps):
+    code, out, err = run(capsys, "verify", "lemma1", "--d-max", "4", eps)
+    assert code == 2 and out == "" and "eps must lie in [0, 1)" in err
+
+
 def test_verify_lemma2_small(capsys):
     code, out, _ = run(
         capsys, "verify", "lemma2", "--q-max", "3", "--alpha-steps", "9",

@@ -1,14 +1,20 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apx import (
     IntWeightSeq,
     SymmetryRequiredError,
     bruteforce_scan,
     implication_check,
+    lemma1,
     min_product_sum,
 )
+from apx.errors import ApxError
+from apx.lemma1 import _half_tails, _scan_center
 
 
 def test_weight_seq_construction():
@@ -130,3 +136,48 @@ def test_scan_counts_every_sequence_once():
         1 for a0 in range(5) for a1 in range((4 - a0) // 2 + 1) if a0 + 2 * a1 >= 1
     )
     assert rep.checked == expected
+
+
+KERNEL_EPS = [Fraction(0), Fraction(1, 10), Fraction(2, 9), Fraction(1, 10**20)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 10), st.integers(0, 10), st.integers(0, 3),
+    st.sampled_from(KERNEL_EPS), st.integers(1, 64),
+)
+@example(1, 0, 0, Fraction(0), 1)
+@example(1, 0, 2, Fraction(1, 10**20), 2)
+@example(9, 3, 0, Fraction(2, 9), 1)
+@example(9, 3, 1, Fraction(2, 9), 2)
+def test_scan_center_matches_implication_check(d_max, a0, radius, eps, chunk):
+    # Every sequence of the center goes through the oracle, including the
+    # skipped all-zero one at a0 = 0; small chunks cross the tail batches.
+    a0 %= d_max + 1
+    expected = []
+    checked = 0
+    for tail in _half_tails(radius, (d_max - a0) // 2):
+        if a0 == 0 and not any(tail):
+            continue
+        checked += 1
+        result = implication_check(IntWeightSeq.symmetric(a0, tail), eps)
+        if not result.ok:
+            expected.append(result)
+    with patch.object(lemma1, "_TAIL_CHUNK", chunk):
+        assert _scan_center(a0, d_max, radius, eps) == (checked, expected)
+
+
+def test_scan_center_rebuilds_violations_with_the_oracle():
+    # A kernel verdict of "violated" is handed to implication_check; when
+    # the oracle says the implication holds, the scan refuses.
+    ok = implication_check(IntWeightSeq.symmetric(1, ()), Fraction(1, 10))
+    with patch.object(lemma1, "implication_check", lambda seq, eps: ok):
+        with pytest.raises(ApxError, match="disagree"):
+            _scan_center(3, 9, 1, Fraction(2, 9))
+
+
+@pytest.mark.parametrize("eps", [Fraction(3, 2), Fraction(1), Fraction(-1, 10)])
+def test_bruteforce_scan_rejects_eps_before_scanning(eps):
+    with patch.object(lemma1, "pmap", side_effect=AssertionError("scanned")):
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
+            bruteforce_scan(5, 1, eps, threads=2)
