@@ -41,7 +41,6 @@ from .errors import (
     SymmetryRequiredError,
 )
 from .fourier import (
-    Spectrum,
     StructureReport,
     WeightSeq,
     dft_indicator,
@@ -66,7 +65,6 @@ from .lemma1 import (
 )
 from .search import (
     SearchReport,
-    enumerate_symmetric_subsets,
     extremal_search,
     verify_gls,
     verify_theorem1,

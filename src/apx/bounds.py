@@ -376,6 +376,10 @@ def lemma2_scan(
     if q_max < 2 or alpha_steps < 2 or eta_steps < 2:
         raise ValueError("need q_max >= 2 and at least 2 grid points per axis")
     gamma0 = as_fraction(gamma0)
+    try:
+        float(gamma0)  # the float screen reads it
+    except OverflowError:
+        raise ValueError("gamma0 is past the float range of the lemma2 screen") from None
     worker = partial(
         _scan_one_q, alpha_steps=alpha_steps, eta_steps=eta_steps, gamma0=gamma0
     )

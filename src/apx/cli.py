@@ -215,8 +215,7 @@ def _search_text(r) -> str:
             f" max = {frac_str(r.max_value)}",
             f"bound = {frac_str(r.bound.value)} via {r.bound.active_branch};"
             f" satisfied: {r.bound_satisfied}",
-            f"enumerated {r.enumerated}, pruned {r.pruned_by_canon},"
-            f" witnesses: {witnesses}",
+            f"enumerated {r.enumerated}, witnesses: {witnesses}",
         ]
     )
 
@@ -341,7 +340,7 @@ _COMMANDS = {
     ),
     "search": _Command(
         lambda a, c: extremal_search(
-            parse_group(a.group), a.size, a.objective, canonicalize=a.canonicalize,
+            parse_group(a.group), a.size, a.objective,
             witness_cap=a.witness_cap, gamma0=c.gamma0,
         ),
         _always, _search_text, None, None,
@@ -449,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--objective", choices=["prob", "t3density"], default="prob")
-    p.add_argument("--canonicalize", action="store_true")
     p.add_argument("--witness-cap", type=int, default=10)
     _add_common(p, "--gamma0")
 

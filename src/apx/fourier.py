@@ -43,28 +43,20 @@ from .util import as_fraction
 _TIE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """All Fourier coefficients of a subset indicator."""
-
-    group: GroupSpec
-    coeffs: np.ndarray
-
-
-def dft_indicator(s: SubsetMask) -> Spectrum:
-    """Fourier coefficients of 1_S, indexed by the shared mixed-radix space."""
+def dft_indicator(s: SubsetMask) -> np.ndarray:
+    """Read-only Fourier coefficients of 1_S, in the shared mixed-radix order."""
     g = s.group
     _, memb = _decode(s)
     shaped = memb.astype(np.complex128).reshape(tuple(reversed(g.moduli)))
     coeffs = np.fft.fftn(shaped, norm="forward").reshape(-1)
     coeffs.setflags(write=False)
-    return Spectrum(group=g, coeffs=coeffs)
+    return coeffs
 
 
-def plancherel_residual(spectrum: Spectrum, size: int) -> float:
+def plancherel_residual(coeffs: np.ndarray, size: int) -> float:
     """|sum |coeff|^2 - d/n|; zero in exact arithmetic."""
-    energy = float(np.sum(np.abs(spectrum.coeffs) ** 2))
-    return abs(energy - size / spectrum.group.order)
+    energy = float(np.sum(np.abs(coeffs) ** 2))
+    return abs(energy - size / coeffs.size)
 
 
 def _prob_from_coeffs(coeffs: np.ndarray, size: int) -> float:
@@ -87,25 +79,25 @@ def prob_spectral(s: SubsetMask) -> float:
         raise EmptySetError("spectral probability needs a non-empty set")
     if not s.is_symmetric:
         raise SymmetryRequiredError("spectral probability needs S = -S")
-    return _prob_from_coeffs(dft_indicator(s).coeffs, s.size)
+    return _prob_from_coeffs(dft_indicator(s), s.size)
 
 
 def t3_spectral(s: SubsetMask) -> float:
     """Progression count as n^2 * sum_m coeff[m]^2 * coeff[-2m]."""
     if s.size == 0:
         raise EmptySetError("spectral progression count needs a non-empty set")
-    return _t3_from_coeffs(s.group, dft_indicator(s).coeffs)
+    return _t3_from_coeffs(s.group, dft_indicator(s))
 
 
-def top_nonzero_coefficient(spectrum: Spectrum):
+def top_nonzero_coefficient(coeffs: np.ndarray):
     """The dominating coefficient away from frequency 0.
 
     Maximizes the real part (coefficients of a symmetric set are real).
     Ties resolve to the smallest mixed-radix index. Returns (m0, value).
     """
-    if spectrum.group.order < 2:
+    if coeffs.size < 2:
         raise NoNonzeroFrequencyError("the trivial group has no m != 0")
-    values = spectrum.coeffs.real.copy()
+    values = coeffs.real.copy()
     values[0] = -np.inf
     top = values.max()
     m0 = int(np.flatnonzero(values >= top - _TIE_TOLERANCE)[0])
@@ -214,8 +206,7 @@ def structure_report(s: SubsetMask, gamma, gamma0=GAMMA0) -> StructureReport:
     nu = Fraction(2 * mu + 1, 3)
     beta = (gamma + 2 * nu * nu - nu - 1) / (nu * nu)
 
-    spectrum = dft_indicator(s)
-    m0, coeff_value = top_nonzero_coefficient(spectrum)
+    m0, coeff_value = top_nonzero_coefficient(dft_indicator(s))
     g = character_reduction(s.group, m0)
     k = n // g
 
@@ -351,9 +342,8 @@ def random_crosscheck(
         s = _random_symmetric_subset(rng, group)
         where = f"trial {trial}: group {group.label}, set size {s.size}"
 
-        spectrum = dft_indicator(s)
-        coeffs = spectrum.coeffs
-        resid = plancherel_residual(spectrum, s.size)
+        coeffs = dft_indicator(s)
+        resid = plancherel_residual(coeffs, s.size)
         max_plancherel = max(max_plancherel, resid)
         if resid > tol_plancherel:
             failures.append(f"{where}: plancherel residual {resid:.3e}")

@@ -70,9 +70,6 @@ class GroupSpec:
             out.append(r)
         return tuple(out)
 
-    def exponent(self) -> int:
-        return math.lcm(*self.moduli)
-
     def _check_index(self, a: int) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
             raise ValueError(f"element index {a!r} out of range [0, {self.order})")
@@ -267,18 +264,3 @@ def orbit_split(group: GroupSpec):
     pairs = list(zip(low.tolist(), nt[low].tolist()))
     return fixed, pairs
 
-
-@lru_cache(maxsize=256)
-def units(group: GroupSpec) -> tuple[int, ...]:
-    """Dilation units: residues coprime to every modulus, one per distinct map."""
-    exp = group.exponent()
-    if exp == 1:
-        return (1,)
-    return tuple(u for u in range(1, exp) if math.gcd(u, exp) == 1)
-
-
-def dilation_perm(group: GroupSpec, u: int) -> np.ndarray:
-    """Permutation of indices induced by x -> u*x (u a unit)."""
-    if math.gcd(u, group.exponent()) != 1:
-        raise ValueError(f"{u} is not a unit for group {group.label}")
-    return _coordinate_scaling_table(group, lambda m: u % m)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import ClassVar
@@ -34,12 +34,9 @@ from .counting import (
 from .errors import ApxError, OddOrderRequiredError
 from .group import (
     GroupSpec,
-    add_table,
-    dilation_perm,
     enumerate_abelian_groups,
     orbit_split,
     require_pair_sums,
-    units,
 )
 from .util import pmap
 
@@ -61,81 +58,10 @@ def _symmetric_bits(fixed, pairs, d: int):
                 yield bits
 
 
-def enumerate_symmetric_subsets(group: GroupSpec, d: int):
-    """Yield every S with S = -S and |S| = d, each exactly once."""
-    if not 0 <= d <= group.order:
-        raise ValueError(f"subset size {d} out of range for order {group.order}")
-    fixed, pairs = orbit_split(group)
-    for bits in _symmetric_bits(fixed, pairs, d):
-        yield SubsetMask(group, bits)
-
-
-def _apply_perm(bits: int, perm) -> int:
-    out = 0
-    b = bits
-    while b:
-        low = b & -b
-        out |= 1 << perm[low.bit_length() - 1]
-        b ^= low
-    return out
-
-
-def _is_canonical(bits: int, perms) -> bool:
-    return all(_apply_perm(bits, p) >= bits for p in perms)
-
-
-@lru_cache(maxsize=64)
-def _prob_orbit_perms(group: GroupSpec):
-    """Unit dilations: the symmetry group of the sum-closure objective."""
-    return tuple(tuple(int(v) for v in dilation_perm(group, u)) for u in units(group))
-
-
-@lru_cache(maxsize=64)
-def _t3_orbit_perms(group: GroupSpec):
-    """Translations composed with unit dilations (progression symmetries)."""
-    add = add_table(group)
-    dilations = _prob_orbit_perms(group)
-    out = []
-    for t in range(group.order):
-        row = add[t]
-        for dil in dilations:
-            out.append(tuple(int(row[dil[x]]) for x in range(group.order)))
-    return tuple(out)
-
-
-def _maximize(group: GroupSpec, candidates, evaluate, perms=None, witness_cap=1):
-    """Best evaluate(S) over candidate bitmasks, skipping non-canonical ones.
-
-    Returns (best or None, the first witness_cap maximizers in candidate
-    order, candidates seen, candidates pruned by perms).
-    """
-    best = None
-    witnesses: list[SubsetMask] = []
-    seen = 0
-    pruned = 0
-    for bits in candidates:
-        seen += 1
-        if perms is not None and not _is_canonical(bits, perms):
-            pruned += 1
-            continue
-        s = SubsetMask(group, bits)
-        value = evaluate(s)
-        if best is None or value > best:
-            best = value
-            witnesses = [s]
-        elif value == best and len(witnesses) < witness_cap:
-            witnesses.append(s)
-    return best, witnesses, seen, pruned
-
-
 # Most candidates extremal_search enumerates. Each costs one exact oracle
 # call, about 10 us on a 2-CPU VM (Z_2^5 at size 8: 10.5M candidates in
 # 104 s), so the ceiling is about 10 s of work.
 _MAX_SEARCH_CANDIDATES = 1 << 20
-
-# Most permutation cells --canonicalize builds. They are Python ints in
-# tuples: about 32 MB and 0.4 s at the ceiling on a 2-CPU VM.
-_MAX_PERM_CELLS = 1 << 20
 
 
 @dataclass
@@ -146,7 +72,6 @@ class SearchReport:
     max_value: Fraction
     witnesses: list[SubsetMask]
     enumerated: int
-    pruned_by_canon: int
     bound: BoundValue
     bound_satisfied: bool
 
@@ -155,17 +80,14 @@ def extremal_search(
     group: GroupSpec,
     d: int,
     objective: str,
-    canonicalize: bool = False,
     witness_cap: int = 10,
     gamma0=GAMMA0,
 ) -> SearchReport:
     """Exact maximum of Prob[S] or T3(S)/|S|^2 over subsets of size d.
 
     "prob" ranges over symmetric subsets; "t3density" over all subsets of
-    an odd-order group. Canonicalization keeps only the lexicographically
-    smallest bitmask of each orbit under the objective's symmetry group
-    (dilations for prob; translations and dilations for t3density) and
-    never changes the maximum.
+    an odd-order group. The witnesses are the first witness_cap maximizers
+    in candidate order.
 
     For "t3density" the attached bound carries only the two algebraic
     branches: the constant floor for that objective has no pinned value,
@@ -186,7 +108,6 @@ def extremal_search(
             comb(fixed_count, k) * comb(pair_count, (d - k) // 2)
             for k in range(d & 1, d + 1, 2)
         )
-        orbit_perms = _prob_orbit_perms
         evaluate = direct_prob
     elif objective == "t3density":
         if n % 2 == 0:
@@ -195,7 +116,6 @@ def extremal_search(
             )
         bound = closure_bound(profile.q, profile.alpha, None)
         count = comb(n, d)
-        orbit_perms = _t3_orbit_perms
         denom = d * d
 
         def evaluate(s: SubsetMask) -> Fraction:
@@ -203,32 +123,29 @@ def extremal_search(
 
     else:
         raise ValueError(f"objective must be 'prob' or 't3density', got {objective!r}")
-    where = f"the {objective} search of group {group.label} (order {n}) at size {d}"
     if count > _MAX_SEARCH_CANDIDATES:
         raise ApxError(
-            f"{where} has {count} candidates, over the "
+            f"the {objective} search of group {group.label} (order {n}) at size"
+            f" {d} has {count} candidates, over the "
             f"{_MAX_SEARCH_CANDIDATES}-candidate ceiling"
         )
     require_pair_sums(group, d, d)
-    if canonicalize:
-        # One n-cell permutation per unit, times n translations for t3density.
-        perm_cells = n if objective == "prob" else n * n
-        if perm_cells <= _MAX_PERM_CELLS:  # else units() could walk ~n residues
-            perm_cells *= len(units(group))
-        if perm_cells > _MAX_PERM_CELLS:
-            raise ApxError(
-                f"{where} needs at least {perm_cells} permutation cells to "
-                f"canonicalize, over the {_MAX_PERM_CELLS}-cell ceiling"
-            )
-
     if objective == "prob":
         candidates = _symmetric_bits(*orbit_split(group), d)
     else:
         candidates = (sum(1 << i for i in combo) for combo in combinations(range(n), d))
-    perms = orbit_perms(group) if canonicalize else None
-    best, witnesses, enumerated, pruned = _maximize(
-        group, candidates, evaluate, perms, witness_cap
-    )
+    best = None
+    witnesses: list[SubsetMask] = []
+    enumerated = 0
+    for bits in candidates:
+        enumerated += 1
+        s = SubsetMask(group, bits)
+        value = evaluate(s)
+        if best is None or value > best:
+            best = value
+            witnesses = [s]
+        elif value == best and len(witnesses) < witness_cap:
+            witnesses.append(s)
     assert best is not None  # every 1 <= d <= n has candidates
     return SearchReport(
         group=group,
@@ -237,7 +154,6 @@ def extremal_search(
         max_value=best,
         witnesses=witnesses,
         enumerated=enumerated,
-        pruned_by_canon=pruned,
         bound=bound,
         bound_satisfied=best <= bound.value,
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from apx import SubsetMask, make_group
@@ -48,6 +50,24 @@ def halve(g, a):
         raise ValueError(f"group {g.label} has an even factor; 2 is not invertible")
     coords = zip(g.coords(a), g.moduli)
     return index(g, tuple((x * ((m + 1) // 2)) % m for x, m in coords))
+
+
+def units(g):
+    """Dilation units: residues coprime to every modulus, one per distinct map."""
+    exp = math.lcm(*g.moduli)
+    if exp == 1:
+        return (1,)
+    return tuple(u for u in range(1, exp) if math.gcd(u, exp) == 1)
+
+
+def dilation_perm(g, u):
+    """Index permutation induced by x -> u*x (u a unit)."""
+    if math.gcd(u, math.lcm(*g.moduli)) != 1:
+        raise ValueError(f"{u} is not a unit for group {g.label}")
+    return [
+        index(g, tuple((u * x) % m for x, m in zip(g.coords(a), g.moduli)))
+        for a in range(g.order)
+    ]
 
 
 def dense_cayley_triangles(s):

@@ -103,15 +103,13 @@ def test_search_past_the_candidate_ceiling_exits_2(capsys):
         assert code == 2 and out == "" and f"has {count} candidates" in err
 
 
-def test_search_past_the_permutation_ceiling_exits_2(capsys):
-    for argv, cells in [
-        (("--group", "2001", "--size", "1", "--objective", "t3density"), 2001 * 2001),
-        (("--group", "3001", "--size", "1"), 3001 * 3000),
+def test_search_serves_large_groups_at_small_sizes(capsys):
+    for argv, count in [
+        (("--group", "2001", "--size", "1", "--objective", "t3density"), 2001),
+        (("--group", "3001", "--size", "1"), 1),
     ]:
-        start = time.perf_counter()
-        code, out, err = run(capsys, "search", *argv, "--canonicalize")
-        assert time.perf_counter() - start < 1
-        assert code == 2 and out == "" and f"at least {cells} permutation cells" in err
+        code, out, err = run(capsys, "search", *argv)
+        assert code == 0 and err == "" and f"enumerated {count}, witnesses: {{0}}" in out
 
 
 def test_verify_lemma1_default_passes(capsys):
@@ -132,6 +130,17 @@ def test_verify_lemma1_tight_eps_fails(capsys):
 def test_verify_lemma1_eps_out_of_range_exits_2(capsys, eps):
     code, out, err = run(capsys, "verify", "lemma1", "--d-max", "4", eps)
     assert code == 2 and out == "" and "eps must lie in [0, 1)" in err
+
+
+@pytest.mark.parametrize("gamma0,code", [("1e400", 2), ("3/2", 0)])
+def test_verify_lemma2_gamma0_must_fit_a_float(capsys, gamma0, code):
+    argv = ("--q-max", "2", "--alpha-steps", "3", "--eta-steps", "2", "--gamma0", gamma0)
+    got, out, err = run(capsys, "verify", "lemma2", *argv)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("apx: error:") and "gamma0" in err
+    else:
+        assert "0 violations" in out
 
 
 def test_verify_lemma2_small(capsys):

@@ -25,12 +25,13 @@ from apx import (
 )
 from apx import counting
 from apx.counting import closure_cube, t3_cube
-from apx.group import _MAX_CUBE_BYTES, add_table, dilation_perm, neg_table, units
-from apx.search import _symmetric_orbits
+from apx.group import _MAX_CUBE_BYTES, add_table, neg_table, orbit_split
+from apx.search import _symmetric_bits, _symmetric_orbits
 
 from conftest import (
     add,
     dense_cayley_triangles,
+    dilation_perm,
     empty,
     full,
     halve,
@@ -38,6 +39,7 @@ from conftest import (
     neg,
     table_sum_closure_count,
     table_t3,
+    units,
 )
 
 
@@ -212,11 +214,11 @@ def test_prob_from_s0_examples():
 def test_crossvalidation_exhaustive_small_orders():
     # Full sweep at order <= 8; the acceptance suite pushes this to 12.
     from apx import enumerate_abelian_groups
-    from apx.search import enumerate_symmetric_subsets
 
     for g in enumerate_abelian_groups(8):
         for d in range(0, g.order):
-            for s in enumerate_symmetric_subsets(g, d):
+            for bits in _symmetric_bits(*orbit_split(g), d):
+                s = SubsetMask(g, bits)
                 if s.contains_zero:
                     continue
                 assert cayley_triangles_direct(s) == cayley_triangles_formula(s)

@@ -58,9 +58,8 @@ CALLS = [
     ("structure_empty_kernel_json", ("structure", "--group", "4", "--set", "1,3",
                                      "--gamma", "1", "--format", "json"), 0),
     ("search_text", ("search", "--group", "15", "--size", "6", "--objective",
-                     "t3density", "--canonicalize"), 0),
-    ("search_json", ("search", "--group", "3,3", "--size", "4", "--canonicalize",
-                     "--format", "json"), 0),
+                     "t3density"), 0),
+    ("search_json", ("search", "--group", "3,3", "--size", "4", "--format", "json"), 0),
 ]
 
 

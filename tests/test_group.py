@@ -11,17 +11,15 @@ from apx import ApxError, enumerate_abelian_groups, make_group
 from apx.group import (
     _MAX_TABLE_BYTES,
     add_table,
-    dilation_perm,
     double_table,
     neg_table,
     orbit_split,
     pair_sums,
     parse_group,
     require_pair_sums,
-    units,
 )
 
-from conftest import add, halve, index, neg
+from conftest import add, dilation_perm, halve, index, neg, units
 
 
 def test_make_group_examples():

@@ -13,13 +13,10 @@ from apx import (
     cayley_triangles_direct,
     closure_bound,
     direct_prob,
-    direct_t3,
     enumerate_abelian_groups,
     gls_bound,
-    enumerate_symmetric_subsets,
     extremal_search,
     make_group,
-    size_profile,
     verify_gls,
     verify_theorem1,
     verify_theorem2,
@@ -30,7 +27,9 @@ from apx.group import orbit_split
 from apx.report import report_json
 from apx.search import (
     _gls_group_cases,
+    _orbit_sizes,
     _symmetric_bits,
+    _symmetric_orbits,
     _theorem1_group_cases,
     _theorem2_group_cases,
 )
@@ -45,23 +44,22 @@ def symmetric_brute(g, d):
     return out
 
 
+def symmetric_labels(g, d):
+    return [SubsetMask(g, bits).label for bits in _symmetric_bits(*orbit_split(g), d)]
+
+
 def test_enumerate_symmetric_examples():
-    z5 = make_group([5])
-    sets = [s.label for s in enumerate_symmetric_subsets(z5, 2)]
-    assert sorted(sets) == ["{1,4}", "{2,3}"]
+    assert sorted(symmetric_labels(make_group([5]), 2)) == ["{1,4}", "{2,3}"]
     z4 = make_group([4])
-    sets = [s.label for s in enumerate_symmetric_subsets(z4, 2)]
-    assert sorted(sets) == ["{0,2}", "{1,3}"]
-    empty = list(enumerate_symmetric_subsets(z4, 0))
-    assert len(empty) == 1 and empty[0].size == 0
-    with pytest.raises(ValueError):
-        list(enumerate_symmetric_subsets(z4, 5))
+    assert sorted(symmetric_labels(z4, 2)) == ["{0,2}", "{1,3}"]
+    assert symmetric_labels(z4, 0) == ["{}"]
+    assert symmetric_labels(z4, 5) == []
 
 
 def test_enumerate_symmetric_complete_and_unique():
     for g in enumerate_abelian_groups(12):
         for d in range(0, g.order + 1):
-            produced = [s.bits for s in enumerate_symmetric_subsets(g, d)]
+            produced = list(_symmetric_bits(*orbit_split(g), d))
             assert len(produced) == len(set(produced))
             assert set(produced) == symmetric_brute(g, d)
             assert all(SubsetMask(g, b).size == d for b in produced)
@@ -102,19 +100,6 @@ def test_extremal_search_monotone_sanity():
         assert any(w.label == "{0}" for w in rep.witnesses)
 
 
-def test_canonicalization_never_changes_the_maximum():
-    for g in enumerate_abelian_groups(10):
-        for d in range(1, g.order + 1):
-            plain = extremal_search(g, d, "prob", canonicalize=False)
-            canon = extremal_search(g, d, "prob", canonicalize=True)
-            assert plain.max_value == canon.max_value
-            assert canon.enumerated == plain.enumerated
-            if g.order % 2 == 1:
-                plain_t = extremal_search(g, d, "t3density")
-                canon_t = extremal_search(g, d, "t3density", canonicalize=True)
-                assert plain_t.max_value == canon_t.max_value
-
-
 def test_search_candidate_count_is_exact():
     # The ceiling check counts exactly what the search enumerates: a
     # ceiling at the count passes, one below it refuses with the count.
@@ -124,35 +109,10 @@ def test_search_candidate_count_is_exact():
             for d in range(1, g.order + 1):
                 count = extremal_search(g, d, objective).enumerated
                 with mock.patch.object(search, "_MAX_SEARCH_CANDIDATES", count):
-                    extremal_search(g, d, objective, canonicalize=True)
+                    extremal_search(g, d, objective)
                 with mock.patch.object(search, "_MAX_SEARCH_CANDIDATES", count - 1):
                     with pytest.raises(ApxError, match=f"has {count} candidates"):
                         extremal_search(g, d, objective)
-
-
-def test_search_permutation_cells_are_exact():
-    # The canonicalization ceiling counts the cells the permutations hold:
-    # a ceiling at the count passes, one below it refuses with the count.
-    for g in enumerate_abelian_groups(9):
-        for objective, perms in (
-            ("prob", search._prob_orbit_perms),
-            ("t3density", search._t3_orbit_perms),
-        ):
-            if objective == "t3density" and g.order % 2 == 0:
-                continue
-            cells = sum(len(perm) for perm in perms(g))
-            with mock.patch.object(search, "_MAX_PERM_CELLS", cells):
-                extremal_search(g, 1, objective, canonicalize=True)
-            with mock.patch.object(search, "_MAX_PERM_CELLS", cells - 1):
-                with pytest.raises(ApxError, match=f"at least {cells} permutation"):
-                    extremal_search(g, 1, objective, canonicalize=True)
-
-
-def test_canonicalization_prunes_orbits():
-    rep = extremal_search(make_group([7]), 2, "prob", canonicalize=True)
-    # the three symmetric pairs {1,6}, {2,5}, {3,4} form one dilation orbit
-    assert rep.pruned_by_canon == 2
-    assert rep.enumerated == 3
 
 
 def test_witness_cap():
@@ -219,8 +179,33 @@ def test_verify_validation():
         verify_gls(1)
 
 
-# Reference sweep: every candidate set scored by the per-set oracles, the
-# first maximizer in candidate order kept as the witness.
+def test_search_matches_the_suite_cubes():
+    # extremal_search scores each candidate with a per-set oracle and the
+    # suites read the whole-subset cube; both keep the first maximizer in
+    # candidate order, and a size class holds what the search enumerates.
+    for g in enumerate_abelian_groups(11):
+        n = g.order
+        objectives = [("prob", _symmetric_orbits(g), _theorem2_group_cases(g, GAMMA0))]
+        if n % 2:
+            orbits = [(x,) for x in range(n)]
+            objectives.append(("t3density", orbits, _theorem1_group_cases(g)))
+        for objective, orbits, cases in objectives:
+            assert [c.d for c in cases] == list(range(1, n + 1))
+            sizes = _orbit_sizes(orbits)
+            for case in cases:
+                rep = extremal_search(g, case.d, objective, witness_cap=1)
+                if objective == "prob":
+                    high, bound = case.max_value, case.bound
+                else:
+                    high, bound = case.max_density, case.term_bound
+                assert (rep.max_value, rep.witnesses[0].label) == (high, case.witness)
+                assert (rep.bound.value, rep.enumerated) == (
+                    bound, int((sizes == case.d).sum())
+                )
+
+
+# Reference sweep for the gls rows: every connection set scored by the
+# per-set oracle, the first maximizer in candidate order kept as the witness.
 
 
 def first_maximum(g, candidates, evaluate):
@@ -237,16 +222,6 @@ def test_suite_cases_match_the_reference_sweep():
     for g in enumerate_abelian_groups(11):
         n = g.order
         fixed, pairs = orbit_split(g)
-        for case in _theorem2_group_cases(g, GAMMA0):
-            d = case.d
-            best, witness, _ = first_maximum(
-                g, _symmetric_bits(fixed, pairs, d), direct_prob
-            )
-            profile = size_profile(n, d)
-            assert (case.max_value, case.witness) == (best, witness)
-            assert case.bound == closure_bound(profile.q, profile.alpha).value
-        assert [c.d for c in _theorem2_group_cases(g, GAMMA0)] == list(range(1, n + 1))
-
         gls = {case.d: case for case in _gls_group_cases(g)}
         nonzero = [x for x in fixed if x != 0]
         for d in range(n):
@@ -259,21 +234,6 @@ def test_suite_cases_match_the_reference_sweep():
             case = gls[d]
             assert (case.max_triangles, case.witness, case.sets) == (best, witness, sets)
             assert case.bound == gls_bound(n, d)
-
-        if n % 2 == 0:
-            continue
-        cases = _theorem1_group_cases(g)
-        assert [c.d for c in cases] == list(range(1, n + 1))
-        for case in cases:
-            d = case.d
-            best, witness, _ = first_maximum(
-                g,
-                (sum(1 << i for i in combo) for combo in combinations(range(n), d)),
-                lambda s: Fraction(direct_t3(s), d * d),
-            )
-            profile = size_profile(n, d)
-            assert (case.max_density, case.witness) == (best, witness)
-            assert case.term_bound == closure_bound(profile.q, profile.alpha, None).value
 
 
 def test_suites_refuse_oversized_cubes_before_any_work():
