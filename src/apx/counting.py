@@ -11,15 +11,19 @@ once and are tested against the per-set oracles beside them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ApxError, EmptySetError, InvalidConnectionSetError
 from .group import (
     _MAX_CUBE_BYTES,
+    _MAX_TABLE_BYTES,
     GroupSpec,
+    _sum_kernel,
     add_table,
     double_table,
     neg_table,
@@ -44,11 +48,15 @@ class SubsetMask:
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices) -> "SubsetMask":
-        bits = 0
-        for i in indices:
-            group._check_index(i)
-            bits |= 1 << i
-        return cls(group, bits)
+        indices = list(indices)
+        n = group.order
+        if not all(type(i) is int and 0 <= i < n for i in indices):
+            for i in indices:
+                group._check_index(i)  # raises at the first bad index
+        memb = np.zeros(n, dtype=np.uint8)
+        memb[np.fromiter(indices, dtype=np.int64, count=len(indices))] = 1
+        packed = np.packbits(memb, bitorder="little")
+        return cls(group, int.from_bytes(packed.tobytes(), "little"))
 
     def indices(self) -> tuple[int, ...]:
         out = []
@@ -69,16 +77,8 @@ class SubsetMask:
     @property
     def is_symmetric(self) -> bool:
         """True when S = -S."""
-        nt = neg_table(self.group)
-        b = self.bits
-        m = b
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if not (b >> int(nt[i])) & 1:
-                return False
-            m ^= low
-        return True
+        elems, memb = _decode(self)
+        return bool(memb[neg_table(self.group)[elems]].all())
 
     def with_zero(self) -> "SubsetMask":
         return SubsetMask(self.group, self.bits | 1)
@@ -97,12 +97,92 @@ def _decode(s: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(memb), memb
 
 
+# Largest input polynomial the square route squares: 2^23 bits, about 3 s
+# of CPython's Karatsuba multiplication on a 2-CPU machine.
+_MAX_SQUARE_BITS = 1 << 23
+
+# Digits of the square route for counts below 2^8, 2^16 and 2^32.
+_DIGITS = tuple(np.dtype(f"<u{width}") for width in (1, 2, 4))
+
+
+def _digit_dtype(size: int) -> np.dtype:
+    """Little-endian unsigned digits that hold any count up to size."""
+    return _DIGITS[(size >= 1 << 8) + (size >= 1 << 16)]
+
+
+def _gather_pair_weight_sum(group: GroupSpec, elems, weights) -> int:
+    """sum over (a, b) in S^2 of weights[a + b], from all |S|^2 pair sums."""
+    return int(weights[pair_sums(group, elems, elems)].sum(dtype=np.int64))
+
+
+def _square_pair_weight_sum(group: GroupSpec, elems, weights) -> int:
+    """sum over (a, b) in S^2 of weights[a + b], by Kronecker substitution.
+
+    Digit embed[a] of poly is 1 for each a in S, so digit v of poly^2
+    counts the pairs whose padded sum embed[a] + embed[b] is v. embed is
+    injective and carry-free, so b is fixed by a and v: a digit never
+    exceeds |S| and never carries into the next. The square has
+    len(reduce) digits, and reduce maps digit v to the element it sums to.
+    """
+    embed, reduce = _sum_kernel(group)
+    digit = _digit_dtype(len(elems))
+    digits = np.zeros((reduce.size + 1) // 2, dtype=digit)
+    digits[embed[elems].astype(np.intp)] = 1  # an int32 index scatters slowly
+    poly = int.from_bytes(digits.tobytes(), "little")
+    square = (poly * poly).to_bytes(reduce.size * digit.itemsize, "little")
+    counts = np.frombuffer(square, dtype=digit)
+    return int(np.dot(counts, weights.astype(np.int64, copy=False)[reduce]))
+
+
+@lru_cache(maxsize=1024)  # the oracles ask once per set, a search per candidate
+def pair_route(group: GroupSpec, size: int):
+    """The route that sums weights over the pair sums of a size-element set.
+
+    Both routes take (group, elems, weights) and return the exact sum over
+    (a, b) in S^2 of weights[a + b], S the element indices elems.
+
+    Squaring wins when the set is dense in the padded span of the carry-free
+    embedding (see _sum_kernel), the gather when it is sparse. A route whose
+    memory passes _MAX_TABLE_BYTES, or whose square passes _MAX_SQUARE_BITS,
+    is never taken; when neither fits, raise ApxError with both estimates,
+    before anything is allocated.
+    """
+    cells = math.prod(2 * m - 1 for m in group.moduli)  # digits of the square
+    span = (cells + 1) // 2
+    width = _digit_dtype(size).itemsize
+    bits = 8 * width * span
+    table_bytes = 4 * cells
+    gather_bytes = 4 * size * size
+    # digits, their bytes and poly; the square and its bytes; the int64
+    # weights (n <= span), their gather and the counts cast for the dot
+    square_bytes = table_bytes + width * (3 * span + 2 * cells) + 8 * span + 16 * cells
+    gather_fits = max(table_bytes, gather_bytes) <= _MAX_TABLE_BYTES
+    square_fits = square_bytes <= _MAX_TABLE_BYTES and bits <= _MAX_SQUARE_BITS
+    if not (gather_fits or square_fits):
+        raise ApxError(
+            f"the pair sums of a {size}-element set of group {group.label} (order "
+            f"{group.order}) need {max(table_bytes, gather_bytes)} bytes by gather, "
+            f"or {square_bytes} bytes and a {bits}-bit square by Kronecker "
+            f"substitution; over the {_MAX_TABLE_BYTES}-byte ceiling or the "
+            f"{_MAX_SQUARE_BITS}-bit square budget"
+        )
+    # Costs in gathered pair sums, about 8 ns each, fitted to timings of both
+    # routes (README scale notes): the gather takes size^2 plus 200 for its
+    # fixed overhead, the square (digit bytes)^1.585 / 10, the exponent of
+    # CPython's Karatsuba multiplication.
+    square_cheaper = (width * span) ** 1.585 < 10 * (size * size + 200)
+    if square_fits and (not gather_fits or square_cheaper):
+        return _square_pair_weight_sum
+    return _gather_pair_weight_sum
+
+
 def sum_closure_count(s: SubsetMask) -> int:
     """#{(x, y) in S^2 : x + y in S}, the numerator of direct_prob."""
     if s.size == 0:
         return 0
+    route = pair_route(s.group, s.size)
     elems, memb = _decode(s)
-    return int(memb[pair_sums(s.group, elems, elems)].sum(dtype=np.int64))
+    return route(s.group, elems, memb)
 
 
 def direct_prob(s: SubsetMask) -> Fraction:
@@ -117,15 +197,19 @@ def direct_t3(s: SubsetMask) -> int:
 
     The step 0 pairs (degenerate progressions) are included, so the full
     group scores order^2. Works for every group order. (x, step) ->
-    (a, b) = (x, x + step) is a bijection, so this counts the pairs
-    (a, b) in S^2 with 2b - a in S.
+    (a, b, c) = (x, x + step, x + 2*step) is a bijection onto the triples
+    in S^3 with a + c = 2b, so this is the sum over (a, c) in S^2 of
+    #{b in S : 2b = a + c}.
     """
     if s.size == 0:
         return 0
     g = s.group
-    elems, memb = _decode(s)
-    ends = pair_sums(g, neg_table(g)[elems], double_table(g)[elems])
-    return int(memb[ends].sum(dtype=np.int64))
+    route = pair_route(g, s.size)
+    elems, _ = _decode(s)
+    halves = np.bincount(double_table(g)[elems], minlength=g.order)
+    # Each count is at most |S|, so the gathered weights stay as narrow as
+    # the square's digits.
+    return route(g, elems, halves.astype(_digit_dtype(s.size)))
 
 
 # Byte budget for one block of edge-row intersections in

@@ -28,6 +28,7 @@ from .counting import (
     closure_cube,
     direct_prob,
     direct_t3,
+    pair_route,
     require_cube,
     t3_cube,
 )
@@ -36,7 +37,6 @@ from .group import (
     GroupSpec,
     enumerate_abelian_groups,
     orbit_split,
-    require_pair_sums,
 )
 from .util import pmap
 
@@ -129,7 +129,7 @@ def extremal_search(
             f" {d} has {count} candidates, over the "
             f"{_MAX_SEARCH_CANDIDATES}-candidate ceiling"
         )
-    require_pair_sums(group, d, d)
+    pair_route(group, d)
     if objective == "prob":
         candidates = _symmetric_bits(*orbit_split(group), d)
     else:

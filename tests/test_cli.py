@@ -84,12 +84,18 @@ def test_search_command(capsys):
 
 
 def test_compute_on_a_large_group_needs_no_table(capsys):
-    # Neither Prob[S] nor T3 of a non-Cayley set builds the n x n table.
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "compute", "--group", "65536", "--set", "1,2,3")
-    assert time.perf_counter() - start < 1
-    assert code == 0
-    assert "prob_direct = 1/3" in out and "t3_direct = 5" in out
+    # Neither Prob[S] nor T3 of a non-Cayley set builds the n x n table; the
+    # half interval of Z_16384 takes the square, past the gather ceiling.
+    half = ",".join(map(str, range(8192)))
+    for group, elements, expected in [
+        ("65536", "1,2,3", ("prob_direct = 1/3", "t3_direct = 5")),
+        ("16384", half, ("prob_direct = 8193/16384", "t3_direct = 33554432")),
+    ]:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "compute", "--group", group, "--set", elements)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert all(line in out for line in expected)
 
 
 def test_search_past_the_candidate_ceiling_exits_2(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,7 @@ from apx import (
 )
 from apx import counting
 from apx.counting import closure_cube, t3_cube
-from apx.group import _MAX_CUBE_BYTES, add_table, neg_table, orbit_split
+from apx.group import _MAX_CUBE_BYTES, add_table, double_table, neg_table, orbit_split
 from apx.search import _symmetric_bits, _symmetric_orbits
 
 from conftest import (
@@ -342,14 +343,25 @@ def test_closure_cube_refuses_cells_past_uint16():
         closure_cube(g, [tuple(range(256))])
 
 
-# The pair-sum oracles against their addition-table forms in conftest.
+# The pair-sum oracles and both of their routes against the addition-table
+# forms in conftest.
+
+ROUTES = (counting._gather_pair_weight_sum, counting._square_pair_weight_sum)
 
 oracle_groups = st.one_of(
-    st.sampled_from(EDGE_GROUPS),
-    st.lists(st.integers(1, 16), min_size=1, max_size=3).filter(
+    st.sampled_from(EDGE_GROUPS + [(2, 1, 3), (4, 3, 5)]),
+    st.lists(st.integers(1, 16), min_size=1, max_size=4).filter(
         lambda moduli: math.prod(moduli) <= 256
     ),
 ).map(make_group)
+
+
+def route_counts(route, s):
+    """(sum_closure_count, direct_t3) of s, both through one forced route."""
+    g = s.group
+    elems, memb = counting._decode(s)
+    halves = np.bincount(double_table(g)[elems], minlength=g.order)
+    return route(g, elems, memb), route(g, elems, halves)
 
 
 @settings(max_examples=200, deadline=None)
@@ -357,15 +369,122 @@ oracle_groups = st.one_of(
 @example(make_group([1]), 1)
 @example(make_group([1, 5]), 0b10110)
 @example(make_group([2, 1, 2]), 0b1011)
+@example(make_group([2, 1, 3]), 0b110101)
 @example(make_group([2, 2, 2, 2]), 0xBEEF)
 @example(make_group([3, 3, 3]), (1 << 27) - 1)
+@example(make_group([16]), 0xF0F1)
+@example(make_group([15]), (1 << 15) - 1)
 def test_pair_sum_oracles_match_table_references(g, bits):
     s = SubsetMask(g, bits % (1 << g.order))
     if s.size == 0:
         assert sum_closure_count(s) == direct_t3(s) == 0
         return
-    assert sum_closure_count(s) == table_sum_closure_count(s)
-    assert direct_t3(s) == table_t3(s)
+    expected = (table_sum_closure_count(s), table_t3(s))
+    assert (sum_closure_count(s), direct_t3(s)) == expected
+    for route in ROUTES:
+        assert route_counts(route, s) == expected
+
+
+def test_pair_routes_at_the_digit_width_boundary():
+    # An interval puts |S| pairs on its middle padded sum, the largest digit
+    # a square can hold; 255 fits a byte, 256 needs two.
+    for moduli in [(600,), (601,), (5, 7, 9)]:
+        g = make_group(moduli)
+        rng = random.Random(g.order)
+        for size in (255, 256):
+            assert counting._digit_dtype(size).itemsize == 1 + (size == 256)
+            for indices in (range(size), rng.sample(range(g.order), size)):
+                s = SubsetMask.from_indices(g, indices)
+                expected = (table_sum_closure_count(s), table_t3(s))
+                assert (sum_closure_count(s), direct_t3(s)) == expected
+                for route in ROUTES:
+                    assert route_counts(route, s) == expected
+    assert counting._digit_dtype(65535).itemsize == 2
+    assert counting._digit_dtype(65536).itemsize == 4
+
+
+def test_pair_route_takes_the_square_for_dense_sets():
+    cyclic, rank3 = make_group([65536]), make_group([16, 16, 32])
+    for g, size, route in [
+        (make_group([64]), 2, counting._square_pair_weight_sum),  # both about 8 us
+        (make_group([1024]), 16, counting._gather_pair_weight_sum),
+        (make_group([512]), 256, counting._square_pair_weight_sum),
+        (cyclic, 32, counting._gather_pair_weight_sum),
+        (cyclic, 2048, counting._gather_pair_weight_sum),
+        (cyclic, 4096, counting._square_pair_weight_sum),
+        (cyclic, 32768, counting._square_pair_weight_sum),  # past the gather ceiling
+        (rank3, 1024, counting._gather_pair_weight_sum),
+        (rank3, 4096, counting._square_pair_weight_sum),
+        # The slower route when the gather's 100 MB of pair sums do not fit.
+        (make_group([400000]), 5000, counting._square_pair_weight_sum),
+    ]:
+        assert counting.pair_route(g, size) is route
+
+
+def test_pair_route_refuses_before_allocating():
+    # Half of Z_4000000: 1.6e13 bytes of pair sums, a 1.28e8-bit square.
+    g = make_group([4000000])
+    s = SubsetMask(g, (1 << 2000000) - 1)
+    square = mock.Mock(side_effect=AssertionError("the square started"))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(counting, "_square_pair_weight_sum", square):
+            for oracle in (sum_closure_count, direct_t3):
+                with pytest.raises(
+                    ApxError, match=r"need 16000000000000 bytes by gather, or "
+                    r"\d+ bytes and a 128000000-bit square"
+                ):
+                    oracle(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 16 << 20  # the decoded mask, far below either route
+    with pytest.raises(ApxError, match="bytes by gather"):
+        counting.pair_route(make_group([2] * 16), 1)  # a 3^16-cell reduce table
+    # Within the byte ceiling, but the square would take minutes.
+    with pytest.raises(ApxError, match="and a 16000000-bit square"):
+        counting.pair_route(make_group([500000]), 100000)
+
+
+def test_closed_forms_on_sets_past_the_gather_ceiling():
+    g = make_group([65536])
+    k = 32768  # x + y < k for k(k+1)/2 of the pairs, and never wraps
+    s = SubsetMask(g, (1 << k) - 1)
+    assert 4 * k * k > counting._MAX_TABLE_BYTES
+    assert sum_closure_count(s) == k * (k + 1) // 2
+    # With 3k <= n, a + c = 2b holds in Z rather than mod n, so T3 counts
+    # the pairs (a, c) of [0, k)^2 with a + c even.
+    k = 21845
+    evens, odds = (k + 1) // 2, k // 2
+    assert direct_t3(SubsetMask(g, (1 << k) - 1)) == evens * evens + odds * odds
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_groups, st.data())
+@example(make_group([1]), None)
+def test_from_indices_and_is_symmetric_match_scalar_definitions(g, data):
+    if data is None:
+        indices = [0, 0]
+    else:
+        indices = data.draw(st.lists(st.integers(0, g.order - 1), max_size=20))
+    s = SubsetMask.from_indices(g, indices)
+    assert s.bits == sum(1 << i for i in set(indices))
+    assert s.is_symmetric == all(neg(g, x) in s for x in indices)
+    assert SubsetMask.from_indices(g, indices + [neg(g, x) for x in indices]).is_symmetric
+
+
+def test_from_indices_rejects_bad_indices_in_order():
+    g = make_group([6])
+    for indices, bad in [
+        ([1, True], "True"), ([1, 2.0], "2.0"), ([-1], "-1"), ([0, 6], "6"),
+        ([7, False], "7"), (["3"], "'3'"), ([np.int64(1)], r"np.int64\(1\)"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^element index {bad} out of range \[0, 6\)$"):
+            SubsetMask.from_indices(g, indices)
+    assert SubsetMask.from_indices(g, iter([5, 1, 5])).bits == 0b100010
+    assert SubsetMask.from_indices(g, []).bits == 0
 
 
 # cayley_triangles_direct against the dense int64 reference in conftest.

@@ -236,6 +236,15 @@ def test_suite_cases_match_the_reference_sweep():
             assert case.bound == gls_bound(n, d)
 
 
+def test_search_refuses_pair_sums_before_enumerating():
+    # Z_2^16 has 65,536 one-element candidates, but no route holds the
+    # 3^16-cell reduce table; the search shares the oracles' check.
+    g = make_group([2] * 16)
+    with mock.patch.object(search, "direct_prob", side_effect=AssertionError):
+        with pytest.raises(ApxError, match="pair sums of a 1-element set .* by gather"):
+            extremal_search(g, 1, "prob")
+
+
 def test_suites_refuse_oversized_cubes_before_any_work():
     tracemalloc.start()
     try:
