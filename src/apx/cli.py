@@ -93,10 +93,23 @@ def _resolve_config(args, max_order: int | None = None) -> RunConfig:
 
 
 def _parse_set(group, text: str) -> SubsetMask:
-    try:
-        indices = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"bad set notation {text!r}: {exc}") from None
+    """Comma-separated element indices and inclusive lo..hi ranges, e.g. "0,5..9"."""
+    indices = []
+    for part in text.split(","):
+        lo, dots, hi = part.partition("..")
+        try:
+            if not dots:
+                if part.strip():
+                    indices.append(int(part))
+                continue
+            lo, hi = int(lo), int(hi)
+        except ValueError as exc:
+            raise ValueError(f"bad set notation {text!r}: {exc}") from None
+        if lo > hi:
+            raise ValueError(f"bad set notation {text!r}: empty range {part.strip()!r}")
+        group._check_index(lo)  # before a huge range is spelled out
+        group._check_index(hi)
+        indices.extend(range(lo, hi + 1))
     return SubsetMask.from_indices(group, indices)
 
 
@@ -439,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="all quantities for one explicit set")
     p.add_argument("--group", required=True, help="comma-separated moduli, e.g. 3,5")
-    p.add_argument("--set", required=True, help="comma-separated element indices")
+    p.add_argument(
+        "--set", required=True, help="comma-separated element indices and lo..hi ranges"
+    )
     p.add_argument("--structure", action="store_true", help="attach the diagnostics")
     p.add_argument("--gamma", help="probed probability for --structure")
     _add_common(p, "--gamma0")

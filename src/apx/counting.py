@@ -24,7 +24,6 @@ from .group import (
     _MAX_TABLE_BYTES,
     GroupSpec,
     _sum_kernel,
-    add_table,
     double_table,
     neg_table,
     pair_sums,
@@ -55,8 +54,7 @@ class SubsetMask:
                 group._check_index(i)  # raises at the first bad index
         memb = np.zeros(n, dtype=np.uint8)
         memb[np.fromiter(indices, dtype=np.int64, count=len(indices))] = 1
-        packed = np.packbits(memb, bitorder="little")
-        return cls(group, int.from_bytes(packed.tobytes(), "little"))
+        return _encode(group, memb)
 
     def indices(self) -> tuple[int, ...]:
         out = []
@@ -89,12 +87,18 @@ class SubsetMask:
         return "{" + ",".join(str(i) for i in self.indices()) + "}"
 
 
+def _encode(group: GroupSpec, memb: np.ndarray) -> SubsetMask:
+    """The subset whose 0/1 membership over the group is memb; _decode's inverse."""
+    packed = np.packbits(memb, bitorder="little")
+    return SubsetMask(group, int.from_bytes(packed.tobytes(), "little"))
+
+
 def _decode(s: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
     """(element indices, 0/1 membership over the group), read off the mask."""
     n = s.group.order
     packed = np.frombuffer(s.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
     memb = np.unpackbits(packed, count=n, bitorder="little")
-    return np.flatnonzero(memb), memb
+    return memb.nonzero()[0], memb
 
 
 # Largest input polynomial the square route squares: 2^23 bits, about 3 s
@@ -212,41 +216,93 @@ def direct_t3(s: SubsetMask) -> int:
     return route(g, elems, halves.astype(_digit_dtype(s.size)))
 
 
-# Byte budget for one block of edge-row intersections in
+# Byte budget for one block of neighbour rows or edge-row intersections in
 # cayley_triangles_direct.
 _BLOCK_BYTES = 1 << 20
 
+# Most 64-bit word ANDs cayley_triangles_direct may do, n * |S| * ceil(n / 64).
+# The densest set the kernel took when it read an n x n addition table, the
+# whole of Z_2896 but 0, needs 3.9e8 (under 1 s on a 2-CPU VM).
+_MAX_CAYLEY_WORDS = 1 << 29
 
-def _require_connection_set(s: SubsetMask) -> None:
+
+def _connection_set(s: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
+    """(S, -S) as element index arrays, once S is checked to be 0-free and symmetric."""
     if s.contains_zero:
         raise InvalidConnectionSetError("connection set must not contain 0")
-    if not s.is_symmetric:
+    elems, memb = _decode(s)
+    negs = neg_table(s.group)[elems]
+    if np.count_nonzero(memb[negs]) < elems.size:  # cheaper than .all() on small sets
         raise InvalidConnectionSetError("connection set must be symmetric")
+    return elems, negs
+
+
+def require_cayley(group: GroupSpec, size: int) -> None:
+    """Raise ApxError when cayley_triangles_direct of a size-element set is over budget.
+
+    The n x ceil(n/64) uint64 neighbour rows count against _MAX_TABLE_BYTES,
+    the n * size * ceil(n/64) word ANDs against _MAX_CAYLEY_WORDS.
+    """
+    n = group.order
+    words = -(-n // 64)
+    row_bytes, ands = 8 * n * words, n * size * words
+    if row_bytes > _MAX_TABLE_BYTES or ands > _MAX_CAYLEY_WORDS:
+        raise ApxError(
+            f"the Cayley triangles of a {size}-element set of group {group.label} "
+            f"(order {n}) need {row_bytes} bytes of neighbour rows and {ands} word "
+            f"ANDs; over the {_MAX_TABLE_BYTES}-byte ceiling or the "
+            f"{_MAX_CAYLEY_WORDS}-word budget"
+        )
+
+
+def _common_neighbours(rows: np.ndarray, lo: int, ends: np.ndarray) -> int:
+    """Sum of popcount(rows[u] & rows[v]) over u = lo + i and v in ends[i]."""
+    block = rows[ends.astype(np.intp)]  # an int32 index gathers slowly
+    # In place: a new broadcast result is laid out to stream slowly.
+    block &= rows[lo : lo + len(ends), None, :]
+    return int(np.bitwise_count(block).sum())
 
 
 def cayley_triangles_direct(s: SubsetMask) -> int:
     """Triangle count of the Cayley graph on G with connection set S.
 
     Counts the closed 3-walks of the actual graph and divides by 6; never
-    consults the sum-closure probability. Row -a of the addition table
-    holds b - a, so row a of the row-permuted gather below is the
-    neighbourhood a + S as a packed bitset. Every ordered edge (u, v)
-    with v in u + S closes popcount(row u & row v) walks. Edges are taken
-    a block of rows at a time so each temporary stays near _BLOCK_BYTES:
-    O(n^2 * |S| / 8) byte operations and no n x n integer temporary.
+    consults the sum-closure probability. Row u is the neighbourhood u + S
+    as a bitset of ceil(n/64) uint64 words, scattered from pair_sums. Every
+    ordered edge (u, u + a) closes popcount(row u & row u+a) walks.
+    Vertices are taken a block at a time so each temporary stays near
+    _BLOCK_BYTES: n * |S| * ceil(n/64) word ANDs at most and no n x n
+    temporary, both checked by require_cayley before anything is built.
+
+    A graph of one block walks each of its ordered edges. A larger one
+    walks only the steps a < -a, twice, since (u, u + a) is the edge
+    (u + a, u) of step -a read backwards, and each involution a = -a once.
     """
-    _require_connection_set(s)
-    if s.size == 0:
+    elems, negs = _connection_set(s)
+    if elems.size == 0:
         return 0
     g = s.group
-    elems, memb = _decode(s)
-    add = add_table(g)
-    rows = np.packbits(memb[add], axis=1)[neg_table(g)]
-    step = max(1, _BLOCK_BYTES // (s.size * rows.shape[1]))
-    closed_walks = 0
-    for lo in range(0, g.order, step):
-        block = rows[lo : lo + step, None, :] & rows[add[lo : lo + step, elems]]
-        closed_walks += int(np.bitwise_count(block).sum(dtype=np.int64))
+    n = g.order
+    require_cayley(g, elems.size)
+    words = -(-n // 64)
+    width = 64 * words
+    step = max(1, _BLOCK_BYTES // (8 * words * max(elems.size, 8)))
+    rows = np.empty((n, words), dtype=np.uint64)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        nbrs = pair_sums(g, np.arange(lo, hi), elems)
+        bits = np.zeros((hi - lo) * width, dtype=np.uint8)
+        bits[nbrs + np.arange(0, (hi - lo) * width, width)[:, None]] = 1
+        rows[lo:hi] = np.packbits(bits, bitorder="little").view(np.uint64).reshape(-1, words)
+    if step >= n:  # one block, whose neighbour lists are still at hand
+        closed_walks = _common_neighbours(rows, 0, nbrs)
+    else:
+        twice, once = elems[elems < negs], elems[elems == negs]
+        closed_walks = 0
+        for lo in range(0, n, step):
+            vertices = np.arange(lo, min(lo + step, n))
+            closed_walks += 2 * _common_neighbours(rows, lo, pair_sums(g, vertices, twice))
+            closed_walks += _common_neighbours(rows, lo, pair_sums(g, vertices, once))
     if closed_walks % 6:
         raise ApxError("internal: closed 3-walk count not divisible by 6")
     return closed_walks // 6
@@ -254,7 +310,7 @@ def cayley_triangles_direct(s: SubsetMask) -> int:
 
 def cayley_triangles_formula(s: SubsetMask) -> int:
     """Triangle count via (1/6) * n * |S|^2 * Prob[S]; must be an integer."""
-    _require_connection_set(s)
+    _connection_set(s)
     if s.size == 0:
         return 0
     count = Fraction(s.group.order * s.size * s.size, 6) * direct_prob(s)
@@ -270,7 +326,7 @@ def prob_from_s0(s: SubsetMask) -> Fraction:
     Prob[S] = (|S0|^2/|S|^2) * (Prob[S0] - (3|S|+1)/|S0|^2)
     valid for symmetric 0-free S; Prob[S0] comes from direct_prob.
     """
-    _require_connection_set(s)
+    _connection_set(s)
     if s.size == 0:
         raise EmptySetError("the S0 identity needs a non-empty set")
     s0 = s.with_zero()
@@ -320,11 +376,10 @@ def _cube(group: GroupSpec, orbits, triples) -> np.ndarray:
 
 def t3_cube(group: GroupSpec) -> np.ndarray:
     """direct_t3 of every subset at once: cube[s.bits] == direct_t3(s)."""
-    add = add_table(group)
     x = np.arange(group.order)
     return _cube(
         group, [(e,) for e in range(group.order)],
-        (x[:, None], add, add[:, double_table(group)]),
+        (x[:, None], pair_sums(group, x, x), pair_sums(group, x, double_table(group))),
     )
 
 
@@ -336,4 +391,4 @@ def closure_cube(group: GroupSpec, orbits) -> np.ndarray:
     elements in no orbit are in no set.
     """
     x = np.arange(group.order)
-    return _cube(group, orbits, (x[:, None], x[None, :], add_table(group)))
+    return _cube(group, orbits, (x[:, None], x[None, :], pair_sums(group, x, x)))

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import GAMMA0, induction_bound
-from .counting import SubsetMask, _decode, direct_prob, direct_t3
+from .counting import SubsetMask, _decode, _encode, direct_prob, direct_t3
 from .errors import (
     EmptySetError,
     MuUndefinedError,
@@ -288,15 +288,13 @@ def _random_group(rng: random.Random, max_order: int, max_factors: int, odd: boo
 def _random_symmetric_subset(rng: random.Random, group: GroupSpec) -> SubsetMask:
     fixed, pairs = orbit_split(group)
     while True:
-        bits = 0
-        for x in fixed:
-            if rng.random() < 0.5:
-                bits |= 1 << x
-        for x, y in pairs:
-            if rng.random() < 0.5:
-                bits |= (1 << x) | (1 << y)
-        if bits:
-            return SubsetMask(group, bits)
+        # One draw per orbit, fixed points first; a draw below 1/2 keeps it.
+        keep = np.array([rng.random() for _ in range(len(fixed) + len(pairs))]) < 0.5
+        memb = np.zeros(group.order, dtype=np.uint8)
+        memb[fixed[keep[: len(fixed)]]] = 1
+        memb[pairs[keep[len(fixed) :]]] = 1
+        if memb.any():
+            return _encode(group, memb)
 
 
 def random_crosscheck(

@@ -9,8 +9,7 @@ The same index space is used for subset bitmasks and for spectral
 coefficients, so everything downstream agrees on element numbering.
 Arithmetic goes through lookup tables built lazily by the module-level
 table functions. Pair sums of two index arrays go through a carry-free
-embedding (pair_sums) that is O(n) in size, so only kernels that need
-every one of the n^2 sums build the n x n addition table.
+embedding (pair_sums) that is O(n) in size; no n x n table is kept.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .errors import ApxError
 # Fail fast on absurd presentations before any table gets allocated.
 _MAX_ORDER = 1 << 62
 
-# Largest int64 addition table add_table builds: 64 MiB, order <= 2896.
-# pair_sums holds its reduce table and its result to the same ceiling.
+# Largest table a kernel builds, 64 MiB: pair_sums holds its reduce table
+# and its result to it, as counting does its neighbour rows.
 _MAX_TABLE_BYTES = 1 << 26
 
 # Largest subset cube the suite kernels build: 2-byte cells, 32 MiB, so at
@@ -163,23 +162,6 @@ def _axis_values(group: GroupSpec):
         stride *= m
 
 
-@lru_cache(maxsize=32)
-def add_table(group: GroupSpec) -> np.ndarray:
-    """n x n table with add_table(G)[a, b] = a + b, at most _MAX_TABLE_BYTES."""
-    nbytes = 8 * group.order * group.order
-    if nbytes > _MAX_TABLE_BYTES:
-        raise ApxError(
-            f"the addition table of group {group.label} (order {group.order}) "
-            f"needs {nbytes} bytes ({nbytes / 2**30:.1f} GiB), over the "
-            f"{_MAX_TABLE_BYTES}-byte ceiling"
-        )
-    table = np.zeros((group.order, group.order), dtype=np.int64)
-    for stride, x, m in _axis_values(group):
-        table += stride * ((x[:, None] + x[None, :]) % m)
-    table.setflags(write=False)
-    return table
-
-
 def _coordinate_scaling_table(group: GroupSpec, factor_fn) -> np.ndarray:
     table = np.zeros(group.order, dtype=np.int64)
     for stride, x, m in _axis_values(group):
@@ -228,12 +210,20 @@ def _sum_kernel(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     sums, last factor outermost, so a flat index is a mixed-radix index
     with the first factor fastest.
     """
-    embed = reduce = np.zeros(1, dtype=np.int32)
+    embed = reduce = None
     stride = pad = 1
     for m in group.moduli:
-        embed = np.add.outer(pad * np.arange(m, dtype=np.int32), embed).reshape(-1)
-        digit = np.arange(2 * m - 1, dtype=np.int32) % m
-        reduce = np.add.outer(stride * digit, reduce).reshape(-1)
+        place = np.arange(0, pad * m, pad, dtype=np.int32)
+        digit = np.arange(2 * m - 1, dtype=np.int32)
+        digit %= m
+        digit *= stride
+        # An outer sum with the first factor would only copy its arrays,
+        # doubling a cyclic group's peak memory.
+        if embed is None:
+            embed, reduce = place, digit
+        else:
+            embed = np.add.outer(place, embed).reshape(-1)
+            reduce = np.add.outer(digit, reduce).reshape(-1)
         stride *= m
         pad *= 2 * m - 1
     embed.setflags(write=False)
@@ -251,16 +241,27 @@ def pair_sums(group: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return reduce[embed[a][:, None] + embed[b][None, :]]
 
 
-def orbit_split(group: GroupSpec):
+def two_torsion(group: GroupSpec) -> np.ndarray:
+    """The elements x = -x in ascending order: each coordinate is 0 or m/2.
+
+    O(2^(number of even moduli)), with no O(n) table.
+    """
+    points = [0]
+    stride = 1
+    for m in group.moduli:
+        if m % 2 == 0:  # stride * m/2 is above every point so far
+            points += [p + stride * (m // 2) for p in points]
+        stride *= m
+    return np.array(points)
+
+
+def orbit_split(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """Split indices into involution-fixed points and {x, -x} pairs.
 
-    Both lists are in ascending index order (pairs by their smaller
-    element), which callers that draw random bits per orbit rely on.
+    Returns two_torsion(group) and the pairs (x, -x) with x < -x as a
+    k x 2 int array, both in ascending order of x, which callers that draw
+    random bits per orbit rely on.
     """
     nt = neg_table(group)
-    x = np.arange(group.order)
-    low = np.flatnonzero(x < nt)
-    fixed = np.flatnonzero(nt == x).tolist()
-    pairs = list(zip(low.tolist(), nt[low].tolist()))
-    return fixed, pairs
-
+    low = np.flatnonzero(np.arange(group.order) < nt)
+    return two_torsion(group), np.column_stack((low, nt[low]))

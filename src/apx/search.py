@@ -37,12 +37,18 @@ from .group import (
     GroupSpec,
     enumerate_abelian_groups,
     orbit_split,
+    two_torsion,
 )
 from .util import pmap
 
 
-def _symmetric_bits(fixed, pairs, d: int):
-    """All symmetric bitmasks of size d built from the given orbits."""
+def _symmetric_bits(fixed: np.ndarray, pairs: np.ndarray, d: int):
+    """All symmetric bitmasks of size d built from the given orbits.
+
+    fixed and pairs are arrays as orbit_split returns them. They become
+    Python ints, so 1 << x cannot wrap.
+    """
+    fixed, pairs = fixed.tolist(), pairs.tolist()
     for k in range(d & 1, min(len(fixed), d) + 1, 2):
         pair_count = (d - k) // 2
         if pair_count > len(pairs):
@@ -131,7 +137,9 @@ def extremal_search(
         )
     pair_route(group, d)
     if objective == "prob":
-        candidates = _symmetric_bits(*orbit_split(group), d)
+        # A size below 2 takes no pair, so it builds no O(n) orbit table.
+        pairs = orbit_split(group)[1] if d > 1 else np.empty((0, 2), dtype=np.int64)
+        candidates = _symmetric_bits(two_torsion(group), pairs, d)
     else:
         candidates = (sum(1 << i for i in combo) for combo in combinations(range(n), d))
     best = None
@@ -258,7 +266,7 @@ def _cube_rows(group: GroupSpec, cube: np.ndarray, orbits, sizes):
 def _symmetric_orbits(group: GroupSpec, zero: bool = True):
     """Singleton orbits of x -> -x, then the {x, -x} pairs, as element tuples."""
     fixed, pairs = orbit_split(group)
-    return [(x,) for x in fixed if zero or x != 0] + pairs
+    return [(x,) for x in fixed.tolist() if zero or x != 0] + list(map(tuple, pairs.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from apx import SubsetMask, make_group
-from apx.group import add_table, double_table, neg_table
+from apx.group import double_table, neg_table
 
 
 def mask(moduli, indices):
@@ -68,6 +69,24 @@ def dilation_perm(g, u):
         index(g, tuple((u * x) % m for x, m in zip(g.coords(a), g.moduli)))
         for a in range(g.order)
     ]
+
+
+@lru_cache(maxsize=32)
+def add_table(g):
+    """n x n int64 table with add_table(g)[a, b] = a + b, coordinate by coordinate.
+
+    The dense reference for apx.group.pair_sums and for the table forms of
+    the counting kernels below.
+    """
+    idx = np.arange(g.order, dtype=np.int64)
+    table = np.zeros((g.order, g.order), dtype=np.int64)
+    stride = 1
+    for m in g.moduli:
+        x = (idx // stride) % m
+        table += stride * ((x[:, None] + x[None, :]) % m)
+        stride *= m
+    table.setflags(write=False)
+    return table
 
 
 def dense_cayley_triangles(s):

@@ -63,7 +63,7 @@ def test_criterion_2_triangle_crossvalidation():
     sets = 0
     for g in enumerate_abelian_groups(12):
         fixed, pairs = orbit_split(g)
-        fixed_nonzero = [x for x in fixed if x != 0]
+        fixed_nonzero = fixed[fixed != 0]
         for d in range(0, g.order):
             for bits in _symmetric_bits(fixed_nonzero, pairs, d):
                 s = SubsetMask(g, bits)

@@ -98,6 +98,29 @@ def test_compute_on_a_large_group_needs_no_table(capsys):
         assert all(line in out for line in expected)
 
 
+def test_compute_counts_cayley_triangles_past_order_2896(capsys):
+    for group, elements in [("4096", "1,4095"), ("16384", "0..8191")]:
+        code, out, err = run(capsys, "compute", "--group", group, "--set", elements)
+        assert code == 0 and err == ""
+    assert "cayley triangles: invalid" in out  # the interval holds 0
+
+
+def test_compute_set_ranges(capsys):
+    spelled = run(capsys, "compute", "--group", "16", "--set", "1,2,3,13,14,15")
+    assert spelled[0] == 0
+    for text in ("1..3,13..15", " 13..15 , 1..3", "1..2,3..3,13..15,14"):
+        assert run(capsys, "compute", "--group", "16", "--set", text) == spelled
+    for text, message in [
+        ("1..", "bad set notation"), ("..3", "bad set notation"),
+        ("1...3", "bad set notation"), ("a..b", "bad set notation"),
+        ("3..1", "empty range '3..1'"), ("0..16", "element index 16 out of range"),
+        ("-1..2", "element index -1 out of range"),
+        ("0..99999999999999", "element index 99999999999999 out of range"),
+    ]:
+        code, out, err = run(capsys, "compute", "--group", "16", f"--set={text}")
+        assert code == 2 and out == "" and message in err, text
+
+
 def test_search_past_the_candidate_ceiling_exits_2(capsys):
     for argv, count in [
         (("--group", "2,2,2,2,2", "--size", "16"), 601080390),  # C(32, 16)
@@ -308,9 +331,9 @@ def test_malformed_inputs_exit_2(capsys, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "compute", "--group", "5", "--set", "1", "--format", "csv")
     assert code == 2
-    # A Cayley-valid set still needs the n x n table for its triangles.
+    # A Cayley-valid set past the budget of the triangle kernel's neighbour rows.
     code, out, err = run(capsys, "compute", "--group", "131072", "--set", "1,131071")
-    assert code == 2 and out == "" and "addition table" in err
+    assert code == 2 and out == "" and "bytes of neighbour rows" in err
     for cap in ("0", "-1"):
         code, out, err = run(
             capsys, "search", "--group", "15", "--size", "3", "--witness-cap", cap

@@ -26,7 +26,7 @@ from apx import (
 )
 from apx import counting
 from apx.counting import closure_cube, t3_cube
-from apx.group import _MAX_CUBE_BYTES, add_table, double_table, neg_table, orbit_split
+from apx.group import _MAX_CUBE_BYTES, _sum_kernel, double_table, neg_table, orbit_split
 from apx.search import _symmetric_bits, _symmetric_orbits
 
 from conftest import (
@@ -504,6 +504,8 @@ cayley_groups = st.one_of(
 @example(make_group([2, 1, 2]), 7, 1)
 @example(make_group([2, 2, 2, 2]), (1 << 15) - 1, 3)
 @example(make_group([2, 2, 2, 2]), 0b101010101, 1 << 20)
+@example(make_group([5, 26]), (1 << 64) - 1 - (1 << 40), 1 << 13)  # 3-word rows
+@example(make_group([2, 3, 11]), 0x5A5A5A5A, 1 << 20)  # 2 words, one block
 def test_cayley_direct_matches_dense_reference(g, bits, block_bytes):
     # A random block budget makes small groups run many blocks, with a
     # partial last one.
@@ -514,22 +516,64 @@ def test_cayley_direct_matches_dense_reference(g, bits, block_bytes):
 
 
 def test_cayley_direct_dense_set_runs_several_blocks():
-    # An interval of 300 elements on Z_512: 64-byte rows, 54-row blocks,
+    # An interval of 300 elements on Z_512: rows of 8 words, 54-row blocks,
     # and a last block of 26 rows.
     g = make_group([512])
     s = SubsetMask.from_indices(g, [x for x in range(1, 512) if min(x, 512 - x) <= 150])
     assert s.size == 300
-    step = counting._BLOCK_BYTES // (s.size * 512 // 8)
+    step = counting._BLOCK_BYTES // (8 * 8 * s.size)
     assert 1 < step < 512 and 512 % step
     expected = dense_cayley_triangles(s)
     assert expected > 0
     assert cayley_triangles_direct(s) == expected == cayley_triangles_formula(s)
 
 
+def test_cayley_direct_reaches_past_the_old_table_ceiling():
+    # Order 4096 was refused while the kernel read an n x n addition table.
+    for n, elements in [(4096, [1, 4095]), (4096, [1, 2, 4094, 4095]), (4099, [3, 5, 4094, 4096])]:
+        s = mask([n], elements)
+        assert cayley_triangles_direct(s) == cayley_triangles_formula(s)
+    assert cayley_triangles_direct(mask([4096], [1, 2, 4094, 4095])) == 4096
+
+
+def test_cayley_budget_accepts_every_set_the_table_took():
+    # The kernel took every symmetric 0-free set up to order 2896; the
+    # budget is checked alone, without running the count.
+    for n in range(1, 2897):
+        counting.require_cayley(make_group([n]), n - 1)
+    for d in range(2896):
+        counting.require_cayley(make_group([2, 1448]), d)
+    assert 2896 * 2895 * 46 <= counting._MAX_CAYLEY_WORDS
+
+
+def test_cayley_direct_refuses_over_budget_sets_fast():
+    # Z_131072: 2 GiB of neighbour rows. Z_4096 without 0: 4096 * 4095 * 64
+    # word ANDs, over the budget though its rows take 2 MiB.
+    big = SubsetMask.from_indices(make_group([1 << 17]), [1, (1 << 17) - 1])
+    dense = SubsetMask(make_group([4096]), (1 << 4096) - 2)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(counting, "pair_sums", side_effect=AssertionError):
+            with pytest.raises(
+                ApxError, match=r"need 2147483648 bytes of neighbour rows and 536870912 word ANDs"
+            ):
+                cayley_triangles_direct(big)
+            with pytest.raises(
+                ApxError, match=r"need 2097152 bytes of neighbour rows and 1073479680 word ANDs"
+            ):
+                cayley_triangles_direct(dense)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 1 << 20  # the decoded masks only
+
+
 def test_cayley_direct_memory_stays_far_below_a_dense_matrix():
     g = make_group([2048])
     s = SubsetMask.from_indices(g, [x for x in range(1, 2048) if min(x, 2048 - x) <= 512])
-    add_table(g), neg_table(g)  # the group's shared tables are not the kernel's
+    neg_table(g), _sum_kernel(g)  # the group's shared tables are not the kernel's
     tracemalloc.start()
     try:
         triangles = cayley_triangles_direct(s)

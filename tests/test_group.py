@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from apx import ApxError, enumerate_abelian_groups, make_group
 from apx.group import (
-    _MAX_TABLE_BYTES,
-    add_table,
+    _sum_kernel,
     double_table,
     neg_table,
     orbit_split,
@@ -19,7 +18,7 @@ from apx.group import (
     require_pair_sums,
 )
 
-from conftest import add, dilation_perm, halve, index, neg, units
+from conftest import add, add_table, dilation_perm, halve, index, neg, units
 
 
 def test_make_group_examples():
@@ -125,18 +124,22 @@ def test_enumerate_count_and_dedup():
 
 
 def test_tables_match_scalar_ops():
-    rng = random.Random(5)
-    for moduli in [(8,), (3, 5), (2, 2, 3), (12,)]:
+    # Order 1, a modulus 1 between others, odd and even orders, rank >= 3.
+    for moduli in [
+        (1,), (1, 5), (2, 1, 3), (7,), (8,), (12,), (3, 5), (2, 2, 3), (3, 3, 3), (2, 2, 2, 2),
+    ]:
         g = make_group(moduli)
-        at = add_table(g)
+        x = np.arange(g.order)
+        sums = pair_sums(g, x, x)
         nt = neg_table(g)
         dt = double_table(g)
-        for _ in range(40):
-            a, b = rng.randrange(g.order), rng.randrange(g.order)
-            assert int(at[a, b]) == add(g, a, b)
-            assert int(at[a, nt[b]]) == add(g, a, neg(g, b))
+        assert np.array_equal(sums, add_table(g))  # the tests' dense reference
+        assert np.array_equal(pair_sums(g, x, nt), sums[:, nt])
+        for a in range(g.order):
             assert int(nt[a]) == neg(g, a)
             assert int(dt[a]) == add(g, a, a)
+            for b in range(g.order):
+                assert int(sums[a, b]) == add(g, a, b)
 
 
 def test_units_and_dilations():
@@ -146,7 +149,7 @@ def test_units_and_dilations():
         perm = dilation_perm(g, u)
         assert sorted(int(x) for x in perm) == list(range(15))
         # dilation is an automorphism: u*(a+b) = u*a + u*b
-        at = add_table(g)
+        at = pair_sums(g, np.arange(15), np.arange(15))
         for a in range(15):
             for b in range(15):
                 assert int(perm[at[a, b]]) == int(at[perm[a], perm[b]])
@@ -157,22 +160,10 @@ def test_units_and_dilations():
 
 def test_tables_are_readonly():
     g = make_group([6])
-    with pytest.raises(ValueError):
-        add_table(g)[0, 0] = 1
-    assert np.all(add_table(g) >= 0)
-
-
-def test_add_table_refuses_oversized_groups():
-    # Every order the suites, README and benchmark use (<= 2048) fits.
-    assert 8 * 2048 * 2048 <= _MAX_TABLE_BYTES
-    tracemalloc.start()
-    try:
-        with pytest.raises(ApxError, match="needs 137438953472 bytes"):
-            add_table(make_group([1 << 17]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for table in (neg_table(g), double_table(g), *_sum_kernel(g)):
+        with pytest.raises(ValueError):
+            table[0] = 1
+        assert np.all(table >= 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,6 +212,7 @@ def test_pair_sums_refuse_oversized_inputs():
 def test_orbit_split_matches_scalar_negation():
     for g in enumerate_abelian_groups(40):
         fixed, pairs = orbit_split(g)
-        assert fixed == [x for x in range(g.order) if neg(g, x) == x]
-        assert pairs == [(x, neg(g, x)) for x in range(g.order) if x < neg(g, x)]
+        assert fixed.tolist() == [x for x in range(g.order) if neg(g, x) == x]
+        assert pairs.shape == ((g.order - len(fixed)) // 2, 2)
+        assert pairs.tolist() == [[x, neg(g, x)] for x in range(g.order) if x < neg(g, x)]
         assert len(fixed) == 1 << sum(m % 2 == 0 for m in g.moduli)

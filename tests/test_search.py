@@ -223,7 +223,7 @@ def test_suite_cases_match_the_reference_sweep():
         n = g.order
         fixed, pairs = orbit_split(g)
         gls = {case.d: case for case in _gls_group_cases(g)}
-        nonzero = [x for x in fixed if x != 0]
+        nonzero = fixed[fixed != 0]
         for d in range(n):
             best, witness, sets = first_maximum(
                 g, _symmetric_bits(nonzero, pairs, d), cayley_triangles_direct
@@ -234,6 +234,19 @@ def test_suite_cases_match_the_reference_sweep():
             case = gls[d]
             assert (case.max_triangles, case.witness, case.sets) == (best, witness, sets)
             assert case.bound == gls_bound(n, d)
+
+
+def test_search_at_size_1_builds_no_orbit_table():
+    # Z_1000000 has 500,000 pairs {x, -x}; a size-1 set is one of x = -x.
+    g = make_group([1000000])
+    tracemalloc.start()
+    try:
+        report = extremal_search(g, 1, "prob")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.enumerated == 2 and [w.label for w in report.witnesses] == ["{0}"]
+    assert peak < 16 << 20  # the 12 MB pair-sum tables, but no 8 MB orbit table
 
 
 def test_search_refuses_pair_sums_before_enumerating():
