@@ -30,7 +30,7 @@ from .errors import (
 )
 from .group import (
     GroupSpec,
-    _axis_values,
+    _coordinate_sum,
     double_table,
     make_group,
     neg_table,
@@ -107,10 +107,12 @@ def top_nonzero_coefficient(coeffs: np.ndarray):
 def character_values(group: GroupSpec, m0: int) -> np.ndarray:
     """v(x) with character_m0(x) = e(2*pi*i*v(x)/n), for every element x."""
     n = group.order
-    v = np.zeros(n, dtype=np.int64)
-    for m_i, (_, x, n_i) in zip(group.coords(m0), _axis_values(group)):
-        v += x * (m_i * (n // n_i))
-    return v % n
+    v = _coordinate_sum(
+        np.arange(n_i, dtype=np.int64) * (m_i * (n // n_i))
+        for m_i, n_i in zip(group.coords(m0), group.moduli)
+    )
+    v %= n
+    return v
 
 
 def character_reduction(group: GroupSpec, m0: int) -> int:

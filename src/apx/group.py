@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -153,19 +153,29 @@ def enumerate_abelian_groups(max_order: int) -> list[GroupSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _axis_values(group: GroupSpec):
-    """Per-factor coordinate arrays of every element index."""
-    idx = np.arange(group.order, dtype=np.int64)
-    stride = 1
-    for m in group.moduli:
-        yield stride, (idx // stride) % m, m
-        stride *= m
+def _coordinate_sum(digits) -> np.ndarray:
+    """table[x] = sum_i digits[i][x_i] over the coordinates x_i of every index x.
+
+    digits[i] holds one value per residue of factor i. The factors are
+    taken as outer sums, last factor outermost, so a flat index is a
+    mixed-radix index with the first factor fastest, and no O(n)
+    temporary is built besides the table and the table before the last
+    factor.
+    """
+    return reduce(lambda table, digit: np.add.outer(digit, table).reshape(-1), digits)
 
 
 def _coordinate_scaling_table(group: GroupSpec, factor_fn) -> np.ndarray:
-    table = np.zeros(group.order, dtype=np.int64)
-    for stride, x, m in _axis_values(group):
-        table += stride * ((factor_fn(m) * x) % m)
+    digits = []
+    stride = 1
+    for m in group.moduli:
+        digit = np.arange(m, dtype=np.int64)
+        digit *= factor_fn(m)
+        digit %= m
+        digit *= stride
+        digits.append(digit)
+        stride *= m
+    table = _coordinate_sum(digits)
     table.setflags(write=False)
     return table
 

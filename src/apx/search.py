@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from math import comb
 from typing import ClassVar
@@ -64,10 +64,13 @@ def _symmetric_bits(fixed: np.ndarray, pairs: np.ndarray, d: int):
                 yield bits
 
 
-# Most candidates extremal_search enumerates. Each costs one exact oracle
-# call, about 10 us on a 2-CPU VM (Z_2^5 at size 8: 10.5M candidates in
-# 104 s), so the ceiling is about 10 s of work.
-_MAX_SEARCH_CANDIDATES = 1 << 20
+# The work ceiling of extremal_search, in mask bits decoded. Each candidate
+# costs one exact oracle call, which decodes an n-bit mask: on a 2-CPU VM
+# about 28 us plus 3.9 ns per bit, so a call is charged max(n, 2^13) bits.
+# 2^33 bits is about 30 s of calls: 2^20 candidates up to order 8192, and
+# fewer above it.
+_SEARCH_CALL_BITS = 1 << 13
+_MAX_SEARCH_BITS = 1 << 33
 
 
 @dataclass
@@ -129,11 +132,12 @@ def extremal_search(
 
     else:
         raise ValueError(f"objective must be 'prob' or 't3density', got {objective!r}")
-    if count > _MAX_SEARCH_CANDIDATES:
+    bits = count * max(n, _SEARCH_CALL_BITS)
+    if bits > _MAX_SEARCH_BITS:
         raise ApxError(
             f"the {objective} search of group {group.label} (order {n}) at size"
-            f" {d} has {count} candidates, over the "
-            f"{_MAX_SEARCH_CANDIDATES}-candidate ceiling"
+            f" {d} has {count} candidates of max({n}, {_SEARCH_CALL_BITS}) bits"
+            f" each, {bits} bits to decode, over the {_MAX_SEARCH_BITS}-bit ceiling"
         )
     pair_route(group, d)
     if objective == "prob":
@@ -167,12 +171,22 @@ def extremal_search(
     )
 
 
+# Fewest subset-cube cells a sweep must score before it starts a process
+# pool: below this, starting the workers costs more than they save. Fitted
+# on a 2-CPU VM, where a 2-worker pool took 1.22x the serial time on
+# theorem1 19 (699,562 cells) and 1.31x on theorem2 31 (527,978), and
+# 0.91x on theorem1 21 (2,796,714).
+_POOL_MIN_CELLS = 1 << 21
+
+
 def _sweep(task, max_order: int, threads: int, orbits, odd_only: bool = False):
     """Run a per-group case function over every group up to max_order.
 
     task must pickle (a module-level function or a partial of one) for
     threads > 1. orbits(group) is the orbit count of the group's cube;
     every cube is checked against the ceiling before the first group runs.
+    A sweep of fewer than _POOL_MIN_CELLS cells in all runs in-process;
+    a larger one sends the groups to the pool largest cube first.
     Returns the group count and all cases in group order.
     """
     lowest = 3 if odd_only else 2
@@ -181,10 +195,17 @@ def _sweep(task, max_order: int, threads: int, orbits, odd_only: bool = False):
     groups = enumerate_abelian_groups(max_order)
     if odd_only:
         groups = [g for g in groups if g.order % 2 == 1]
+    cells = []
     for group in groups:
-        require_cube(group, orbits(group))
-    chunks = pmap(task, groups, threads)
-    return len(groups), [case for chunk in chunks for case in chunk]
+        count = orbits(group)
+        require_cube(group, count)
+        cells.append(1 << count)
+    if sum(cells) < _POOL_MIN_CELLS:
+        threads = 1
+    largest_first = sorted(range(len(groups)), key=cells.__getitem__, reverse=True)
+    results = pmap(task, [groups[i] for i in largest_first], threads)
+    chunks = dict(zip(largest_first, results))
+    return len(groups), [case for i in range(len(groups)) for case in chunks[i]]
 
 
 @dataclass
@@ -212,55 +233,71 @@ class SuiteReport:
     failures: list[SuiteCase]
 
 
-def _orbit_sizes(orbits) -> np.ndarray:
-    """|S| of every orbit mask: the total size of the orbits whose bit is set."""
-    sizes = np.zeros(1, dtype=np.uint8)
-    for orbit in orbits:
-        sizes = np.concatenate([sizes, sizes + len(orbit)])
-    return sizes
+def _size_index(fixed: int, pairs: int):
+    """(|S| of every cell of a cube over fixed singletons then pairs, cells per size).
+
+    |S| is the popcount of the fixed bits plus twice that of the pair bits,
+    as uint8: an outer sum of the popcounts of the pair bits and of the two
+    halves of the fixed bits, high part outermost, so no O(cells) index
+    array is built. The cells per size are the convolution of the parts'
+    histograms.
+    """
+    low = fixed // 2
+    parts = [
+        np.bitwise_count(np.arange(1 << width, dtype=np.uint32)) * np.uint8(scale)
+        for width, scale in ((pairs, 2), (fixed - low, 1), (low, 1))
+    ]
+    size = reduce(np.add.outer, parts).reshape(-1)
+    cells = reduce(np.convolve, [np.bincount(part) for part in parts])
+    return size, cells
 
 
-def _reversed_bits(values: np.ndarray, width: int):
-    """(the low width bits of each value in reverse order, their popcount)."""
+def _reversed_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """The low width bits of each value in reverse order."""
     reversed_ = np.zeros_like(values)
-    count = np.zeros_like(values)
     for i in range(width):
-        bit = (values >> i) & 1
-        reversed_ |= bit << (width - 1 - i)
-        count += bit
-    return reversed_, count
+        reversed_ |= ((values >> i) & 1) << (width - 1 - i)
+    return reversed_
 
 
-def _cube_rows(group: GroupSpec, cube: np.ndarray, orbits, sizes):
-    """(d, maximum, witness label, cells) of every size d in sizes with cells.
+def _cube_rows(group: GroupSpec, cube: np.ndarray, orbits):
+    """(d, maximum, witness label, cells) of every size d that has cells, by d.
+
+    Row 0 is the empty set, which the bound suites skip.
 
     orbits lists the singleton orbits (fixed) first, then the pairs, in
     the bit order of the cube. The witness is the maximizer that
     _symmetric_bits(fixed, pairs, d) meets first: the one with the fewest
     fixed orbits, then the largest bit-reversed fixed part, then the
     largest bit-reversed pair part. With singletons only, that order is
-    combinations order. Only the tied maximizers are bit-reversed.
+    combinations order.
+
+    One pass over the cube: the maxima of all sizes in one reduction, the
+    tied cells of all sizes found at once, and one sort of the ties by
+    (size, witness key) whose last cell of each size is its witness.
     """
     fixed = sum(len(orbit) == 1 for orbit in orbits)
     pairs = len(orbits) - fixed
-    size = _orbit_sizes(orbits)
-    for d in sizes:
-        cells = np.flatnonzero(size == d)
-        if cells.size == 0:
-            continue
-        values = cube[cells]
-        best = values.max()
-        ties = cells[values == best]
-        fixed_reversed, fixed_count = _reversed_bits(ties & ((1 << fixed) - 1), fixed)
-        pairs_reversed, _ = _reversed_bits(ties >> fixed, pairs)
-        key = (
-            ((fixed - fixed_count) << len(orbits))
-            | (fixed_reversed << pairs)
-            | pairs_reversed
-        )
-        winner = int(ties[np.argmax(key)])
+    size, cells = _size_index(fixed, pairs)
+    maxima = np.zeros(cells.size, dtype=cube.dtype)
+    np.maximum.at(maxima, size, cube)
+    ties = np.flatnonzero(cube == maxima[size])
+    fixed_part = ties & ((1 << fixed) - 1)
+    key = (
+        (size[ties].astype(np.int64) << 32)
+        | ((fixed - np.bitwise_count(fixed_part).astype(np.int64)) << len(orbits))
+        | (_reversed_bits(fixed_part, fixed) << pairs)
+        | _reversed_bits(ties >> fixed, pairs)
+    )
+    ties = ties[np.argsort(key)]
+    tie_sizes = size[ties]
+    last = np.append(tie_sizes[1:] != tie_sizes[:-1], True)
+    rows = []
+    for d, winner in zip(tie_sizes[last].tolist(), ties[last].tolist()):
         elements = (e for i, orbit in enumerate(orbits) if winner >> i & 1 for e in orbit)
-        yield d, int(best), SubsetMask.from_indices(group, elements).label, cells.size
+        label = SubsetMask.from_indices(group, elements).label
+        rows.append((d, int(maxima[d]), label, int(cells[d])))
+    return rows
 
 
 def _symmetric_orbits(group: GroupSpec, zero: bool = True):
@@ -292,9 +329,8 @@ def _theorem2_group_cases(group: GroupSpec, gamma0) -> list[Theorem2Case]:
     n = group.order
     orbits = _symmetric_orbits(group)
     out = []
-    for d, count, witness, _ in _cube_rows(
-        group, closure_cube(group, orbits), orbits, range(1, n + 1)
-    ):
+    rows = _cube_rows(group, closure_cube(group, orbits), orbits)
+    for d, count, witness, _ in rows[1:]:
         profile = size_profile(n, d)
         high = Fraction(count, d * d)
         bound = closure_bound(profile.q, profile.alpha, gamma0).value
@@ -352,9 +388,7 @@ def _theorem1_group_cases(group: GroupSpec) -> list[Theorem1Case]:
     n = group.order
     orbits = [(x,) for x in range(n)]
     out = []
-    for d, count, witness, _ in _cube_rows(
-        group, t3_cube(group), orbits, range(1, n + 1)
-    ):
+    for d, count, witness, _ in _cube_rows(group, t3_cube(group), orbits)[1:]:
         profile = size_profile(n, d)
         high = Fraction(count, d * d)
         bound = closure_bound(profile.q, profile.alpha, None).value
@@ -417,9 +451,8 @@ def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
     n = group.order
     orbits = _symmetric_orbits(group, zero=False)
     out = []
-    for d, count, witness, sets in _cube_rows(
-        group, closure_cube(group, orbits), orbits, range(0, n)
-    ):
+    rows = _cube_rows(group, closure_cube(group, orbits), orbits)
+    for d, count, witness, sets in rows:
         max_triangles = n * count // 6
         bound = gls_bound(n, d)
         profile = size_profile(n, d + 1)

@@ -129,3 +129,57 @@ def table_t3(s):
     at_step = memb[rows]
     at_double = memb[rows[:, double_table(g)]]
     return int((at_step & at_double).sum(dtype=np.int64))
+
+
+# The per-size scan search._cube_rows replaced, kept as its reference.
+
+
+def orbit_sizes(orbits):
+    """|S| of every orbit mask: the total size of the orbits whose bit is set."""
+    sizes = np.zeros(1, dtype=np.uint8)
+    for orbit in orbits:
+        sizes = np.concatenate([sizes, sizes + len(orbit)])
+    return sizes
+
+
+def reversed_bits(values, width):
+    """(the low width bits of each value in reverse order, their popcount)."""
+    reversed_ = np.zeros_like(values)
+    count = np.zeros_like(values)
+    for i in range(width):
+        bit = (values >> i) & 1
+        reversed_ |= bit << (width - 1 - i)
+        count += bit
+    return reversed_, count
+
+
+def reference_cube_rows(group, cube, orbits):
+    """(d, maximum, witness label, cells) of every size d with cells, size by size.
+
+    Each size scans the whole cube for its cells, takes their maximum, and
+    keeps the tied cell with the fewest fixed orbits, then the largest
+    bit-reversed fixed part, then the largest bit-reversed pair part.
+    """
+    fixed = sum(len(orbit) == 1 for orbit in orbits)
+    pairs = len(orbits) - fixed
+    size = orbit_sizes(orbits)
+    rows = []
+    for d in range(int(size.max()) + 1):
+        cells = np.flatnonzero(size == d)
+        if cells.size == 0:
+            continue
+        values = cube[cells]
+        best = values.max()
+        ties = cells[values == best]
+        fixed_reversed, fixed_count = reversed_bits(ties & ((1 << fixed) - 1), fixed)
+        pairs_reversed, _ = reversed_bits(ties >> fixed, pairs)
+        key = (
+            ((fixed - fixed_count) << len(orbits))
+            | (fixed_reversed << pairs)
+            | pairs_reversed
+        )
+        winner = int(ties[np.argmax(key)])
+        elements = (e for i, orbit in enumerate(orbits) if winner >> i & 1 for e in orbit)
+        label = SubsetMask.from_indices(group, elements).label
+        rows.append((d, int(best), label, cells.size))
+    return rows

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from apx import cli
+from apx import cli, search
 from apx.cli import main
 from apx.report import report_json
 
@@ -125,6 +125,8 @@ def test_search_past_the_candidate_ceiling_exits_2(capsys):
     for argv, count in [
         (("--group", "2,2,2,2,2", "--size", "16"), 601080390),  # C(32, 16)
         (("--group", "25", "--size", "12", "--objective", "t3density"), 5200300),
+        # 2 + 499,999 candidates: few, but each decodes a million-bit mask
+        (("--group", "1000000", "--size", "2"), 500000),
     ]:
         start = time.perf_counter()
         code, out, err = run(capsys, "search", *argv)
@@ -355,7 +357,9 @@ def test_malformed_inputs_exit_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "thread count" in err
 
 
-def test_threads_auto(capsys):
+def test_threads_auto(capsys, monkeypatch):
+    # These sweeps are too small to start a pool unless the floor is lowered.
+    monkeypatch.setattr(search, "_POOL_MIN_CELLS", 0)
     for suite, threads in [("theorem2", "auto"), ("theorem1", "2"), ("gls", "2")]:
         argv = ("verify", suite, "--max-order", "9", "--format", "json")
         code, out, _ = run(capsys, *argv, "--threads", threads)

@@ -142,6 +142,23 @@ def test_tables_match_scalar_ops():
                 assert int(sums[a, b]) == add(g, a, b)
 
 
+def test_scaling_tables_build_no_large_temporaries():
+    # An 8 MB int64 table, built from outer sums of per-factor digits; the
+    # last outer sum also holds the table of the other factors.
+    for moduli, table_bytes in [
+        ([1000000], 8 << 20), ([1000, 1000], 8 << 20), ([2] * 20, 12 << 20)
+    ]:
+        g = make_group(moduli)
+        for table in (neg_table, double_table):
+            tracemalloc.start()
+            try:
+                table.__wrapped__(g)  # past the cache, so the table is built
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < table_bytes + (1 << 20), (moduli, table.__name__, peak)
+
+
 def test_units_and_dilations():
     g = make_group([15])
     assert units(g) == (1, 2, 4, 7, 8, 11, 13, 14)

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apx import (
     GAMMA0,
@@ -21,18 +24,20 @@ from apx import (
     verify_theorem1,
     verify_theorem2,
 )
-from apx import search
-from apx.counting import require_cube
+from apx import search, util
+from apx.counting import closure_cube, require_cube, t3_cube
 from apx.group import orbit_split
 from apx.report import report_json
 from apx.search import (
+    _cube_rows,
     _gls_group_cases,
-    _orbit_sizes,
     _symmetric_bits,
     _symmetric_orbits,
     _theorem1_group_cases,
     _theorem2_group_cases,
 )
+
+from conftest import orbit_sizes, reference_cube_rows
 
 
 def symmetric_brute(g, d):
@@ -102,16 +107,18 @@ def test_extremal_search_monotone_sanity():
 
 def test_search_candidate_count_is_exact():
     # The ceiling check counts exactly what the search enumerates: a
-    # ceiling at the count passes, one below it refuses with the count.
+    # ceiling at its bits passes, one below them refuses with the count.
     for g in enumerate_abelian_groups(9):
         objectives = ("prob", "t3density") if g.order % 2 else ("prob",)
         for objective in objectives:
             for d in range(1, g.order + 1):
                 count = extremal_search(g, d, objective).enumerated
-                with mock.patch.object(search, "_MAX_SEARCH_CANDIDATES", count):
+                bits = count * search._SEARCH_CALL_BITS
+                with mock.patch.object(search, "_MAX_SEARCH_BITS", bits):
                     extremal_search(g, d, objective)
-                with mock.patch.object(search, "_MAX_SEARCH_CANDIDATES", count - 1):
-                    with pytest.raises(ApxError, match=f"has {count} candidates"):
+                with mock.patch.object(search, "_MAX_SEARCH_BITS", bits - 1):
+                    message = f"has {count} candidates .* {bits} bits"
+                    with pytest.raises(ApxError, match=message):
                         extremal_search(g, d, objective)
 
 
@@ -159,15 +166,28 @@ def test_verify_gls_small():
 
 
 def test_verify_suites_threads_deterministic():
-    serial = verify_theorem2(8, threads=1)
-    parallel = verify_theorem2(8, threads=2)
-    assert report_json(serial) == report_json(parallel)
-    serial1 = verify_theorem1(7, threads=1)
-    parallel1 = verify_theorem1(7, threads=2)
-    assert report_json(serial1) == report_json(parallel1)
-    serial_g = verify_gls(8, threads=1)
-    parallel_g = verify_gls(8, threads=2)
-    assert report_json(serial_g) == report_json(parallel_g)
+    # These sweeps are too small to start a pool unless the floor is lowered.
+    with mock.patch.object(search, "_POOL_MIN_CELLS", 0):
+        for verify, max_order in [
+            (verify_theorem2, 8), (verify_theorem1, 7), (verify_gls, 8)
+        ]:
+            serial = verify(max_order, threads=1)
+            parallel = verify(max_order, threads=2)
+            assert report_json(serial) == report_json(parallel)
+
+
+def test_small_sweeps_start_no_pool():
+    pool = mock.patch.object(
+        util, "ProcessPoolExecutor", side_effect=AssertionError("pool")
+    )
+    with pool:
+        verify_theorem2(8, threads=2)
+        verify_theorem1(9, threads=2)
+        verify_gls(8, threads=2)
+    # The same sweeps do reach the pool once the floor is below their cells.
+    with mock.patch.object(search, "_POOL_MIN_CELLS", 0), pool:
+        with pytest.raises(AssertionError, match="pool"):
+            verify_theorem1(9, threads=2)
 
 
 def test_verify_validation():
@@ -191,7 +211,7 @@ def test_search_matches_the_suite_cubes():
             objectives.append(("t3density", orbits, _theorem1_group_cases(g)))
         for objective, orbits, cases in objectives:
             assert [c.d for c in cases] == list(range(1, n + 1))
-            sizes = _orbit_sizes(orbits)
+            sizes = orbit_sizes(orbits)
             for case in cases:
                 rep = extremal_search(g, case.d, objective, witness_cap=1)
                 if objective == "prob":
@@ -202,6 +222,35 @@ def test_search_matches_the_suite_cubes():
                 assert (rep.bound.value, rep.enumerated) == (
                     bound, int((sizes == case.d).sum())
                 )
+
+
+def test_cube_rows_match_the_per_size_reference_on_real_cubes():
+    for g in enumerate_abelian_groups(13):
+        for zero in (True, False):
+            orbits = _symmetric_orbits(g, zero)
+            cube = closure_cube(g, orbits)
+            assert _cube_rows(g, cube, orbits) == reference_cube_rows(g, cube, orbits)
+    for n in range(1, 16, 2):
+        for g in enumerate_abelian_groups(n):
+            if g.order == n:
+                orbits = [(x,) for x in range(n)]
+                cube = t3_cube(g)
+                assert _cube_rows(g, cube, orbits) == reference_cube_rows(g, cube, orbits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 5), st.data())
+def test_cube_rows_match_the_per_size_reference_on_tied_cubes(fixed, pairs, data):
+    # Values in 0..2 make most sizes tie many cells, so the witness key decides.
+    n = max(1, fixed + 2 * pairs)
+    g = make_group([n])
+    orbits = [(x,) for x in range(fixed)] + [
+        (fixed + 2 * i, fixed + 2 * i + 1) for i in range(pairs)
+    ]
+    cells = 1 << (fixed + pairs)
+    values = data.draw(st.lists(st.integers(0, 2), min_size=cells, max_size=cells))
+    cube = np.array(values, dtype=np.uint16)
+    assert _cube_rows(g, cube, orbits) == reference_cube_rows(g, cube, orbits)
 
 
 # Reference sweep for the gls rows: every connection set scored by the
