@@ -6,10 +6,10 @@ The central object is the three-branch ceiling
                                (q^2 + 2*a*q + 4*a^2 - 6*a + 3) / (q+1)^2,
                                gamma0 )
 
-for the size profile n/|S| = q + a. Everything here is a Fraction, except
-inside the grid scan, which decides its boundary points in integer
-arithmetic over the grid's common denominators; the scan hits boundary
-points exactly and reports equalities separately from violations.
+for the size profile n/|S| = q + a. Every value here is a Fraction. The
+ceiling itself is taken in integer arithmetic over a common denominator, as
+are the grid scan's boundary points; the scan hits boundary points exactly
+and reports equalities separately from violations.
 """
 
 from __future__ import annotations
@@ -81,6 +81,24 @@ def bound_term2(q: int, alpha) -> Fraction:
     return _branches(q, _check_profile_args(q, alpha))[1]
 
 
+def _closure_max(q: int, a: int, a_den: int, gamma0: Fraction | None):
+    """closure_bound(q, a/a_den, gamma0) in Python ints: (num, den, branch).
+
+    Both branches share the denominator a_den^2 and every comparison is a
+    cross-multiplication; a tie keeps the earlier of (term1, term2, gamma0).
+    """
+    qa = q * a_den
+    num, den, branch = qa * qa - a * qa + a * a, q * q, "term1"
+    t2_num = qa * qa + 2 * a * qa + 4 * a * a - 6 * a * a_den + 3 * a_den * a_den
+    t2_den = (q + 1) * (q + 1)
+    if t2_num * den > num * t2_den:
+        num, den, branch = t2_num, t2_den, "term2"
+    den *= a_den * a_den
+    if gamma0 is not None and gamma0.numerator * den > num * gamma0.denominator:
+        return gamma0.numerator, gamma0.denominator, "gamma0"
+    return num, den, branch
+
+
 def closure_bound(q: int, alpha, gamma0=GAMMA0) -> BoundValue:
     """Max of the two quadratic branches and the constant floor gamma0.
 
@@ -89,12 +107,10 @@ def closure_bound(q: int, alpha, gamma0=GAMMA0) -> BoundValue:
     earliest branch in (term1, term2, gamma0).
     """
     alpha = _check_profile_args(q, alpha)
-    branches = list(zip(("term1", "term2"), _branches(q, alpha)))
     if gamma0 is not None:
-        branches.append(("gamma0", as_fraction(gamma0)))
-    # max keeps the first of several maximal items, which is the tie rule.
-    name, value = max(branches, key=lambda item: item[1])
-    return BoundValue(value=value, active_branch=name)
+        gamma0 = as_fraction(gamma0)
+    num, den, branch = _closure_max(q, alpha.numerator, alpha.denominator, gamma0)
+    return BoundValue(value=Fraction(num, den), active_branch=branch)
 
 
 def base_case_bound(alpha) -> Fraction:
@@ -285,22 +301,11 @@ def _lemma2_sign(
     """Exact sign of lhs - rhs for lemma2_check at ratio num/den, eta = e/e_den.
 
     The arithmetic of lemma2_check in Python ints: with q', r = divmod(num,
-    den), both branches of closure_bound(q', r/den) share the denominator
-    den^2, and every comparison is a cross-multiplication. Returns
-    (sign, q', r).
+    den), the ceiling is _closure_max(q', r, den) and the comparison is a
+    cross-multiplication. Returns (sign, q', r).
     """
     qp, r = divmod(num, den)
-    qd = qp * den
-    dd = den * den
-    # Each branch is m_num / (m_den * den^2); keep the larger.
-    m_num, m_den = qd * qd - r * qd + r * r, qp * qp
-    t2_num = qd * qd + 2 * r * qd + 4 * r * r - 6 * r * den + 3 * dd
-    t2_den = (qp + 1) * (qp + 1)
-    if t2_num * m_den > m_num * t2_den:
-        m_num, m_den = t2_num, t2_den
-    m_den *= dd
-    if gamma0.numerator * m_den > m_num * gamma0.denominator:
-        m_num, m_den = gamma0.numerator, gamma0.denominator
+    m_num, m_den, _ = _closure_max(qp, r, den, gamma0)
     # lhs = (e^2 m + 3 (e_den - e)^2) / e_den^2 with m = m_num / m_den.
     lhs_num = e * e * m_num + 3 * (e_den - e) * (e_den - e) * m_den
     diff = lhs_num * rhs.denominator - rhs.numerator * e_den * e_den * m_den

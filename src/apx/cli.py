@@ -329,67 +329,132 @@ def _fourier_text(r) -> str:
     return "\n".join(lines)
 
 
-class _Command(NamedTuple):
-    """How one command runs, judges and prints its report."""
-
-    run: Callable  # (args, cfg) -> report
-    ok: Callable  # report -> bool; False makes the exit status 1
-    text: Callable  # report -> str
-    csv: Callable | None  # report -> str; None: no CSV form
-    max_order: int | None  # default --max-order; None: no such flag
-
-
 def _always(report) -> bool:
     return True
 
 
-# The run lambdas look the library functions up when called, not at import,
-# so wrappers installed on this module's attributes see every call.
+class _Command(NamedTuple):
+    """How one command parses its flags, then runs, judges and prints its report."""
+
+    help: str
+    args: tuple  # (flag, add_argument keywords) pairs, in help order
+    run: Callable | None = None  # (args, cfg) -> report; None for verify
+    ok: Callable = _always  # report -> bool; False makes the exit status 1
+    text: Callable | None = None  # report -> str
+    csv: Callable | None = None  # report -> str; None: no CSV form
+    max_order: int | None = None  # default --max-order; None: no such flag
+
+
+_COMMON = (
+    ("--config", dict(help="key=value config file")),
+    ("--format", dict(dest="output_format", choices=_FORMATS, help="output format")),
+    ("--out", dict(help="write the report to a file")),
+)
+_MAX_ORDER = ("--max-order", dict(type=int, help="largest group order"))
+_THREADS = ("--threads", dict(help="worker count or 'auto'"))
+_GAMMA0 = ("--gamma0", dict(help="override the constant floor (rational)"))
+
+# In parser order: the top-level commands, then verify and its suites. The
+# run lambdas look the library functions up when called, not at import, so
+# wrappers installed on this module's attributes see every call.
 _COMMANDS = {
-    "compute": _Command(_run_compute, _always, _compute_text, None, None),
-    "structure": _Command(
-        lambda a, c: structure_report(_parse_set(parse_group(a.group), a.set), a.gamma),
-        _always, _structure_text, None, None,
+    "compute": _Command(
+        "all quantities for one explicit set",
+        (
+            ("--group", dict(required=True, help="comma-separated moduli, e.g. 3,5")),
+            ("--set", dict(required=True,
+                           help="comma-separated element indices and lo..hi ranges")),
+            ("--structure", dict(action="store_true", help="attach the diagnostics")),
+            ("--gamma", dict(help="probed probability for --structure")),
+            *_COMMON, _GAMMA0,
+        ),
+        _run_compute, text=_compute_text,
     ),
     "search": _Command(
+        "exact extremal search at one size",
+        (
+            ("--group", dict(required=True)),
+            ("--size", dict(type=int, required=True)),
+            ("--objective", dict(choices=["prob", "t3density"], default="prob")),
+            ("--witness-cap", dict(type=int, default=10)),
+            *_COMMON, _GAMMA0,
+        ),
         lambda a, c: extremal_search(
             parse_group(a.group), a.size, a.objective,
             witness_cap=a.witness_cap, gamma0=c.gamma0,
         ),
-        _always, _search_text, None, None,
+        text=_search_text,
     ),
-    # verify subcommands: exit 1 on any failure or violation
+    "structure": _Command(
+        "spectral concentration diagnostics",
+        (
+            ("--group", dict(required=True)),
+            ("--set", dict(required=True)),
+            ("--gamma", dict(required=True, help="probed probability in (d/n, 1]")),
+            *_COMMON,
+        ),
+        lambda a, c: structure_report(_parse_set(parse_group(a.group), a.set), a.gamma),
+        text=_structure_text,
+    ),
+    "verify": _Command("run a verification suite", ()),
+    # verify suites: exit 1 on any failure or violation
     "theorem2": _Command(
+        "sum-closure bound, exhaustive",
+        (*_COMMON, _MAX_ORDER, _THREADS, _GAMMA0),
         lambda a, c: verify_theorem2(c.max_order, gamma0=c.gamma0, threads=c.threads),
-        lambda r: not r.failures, _theorem2_text,
-        cases_csv, 15,
+        lambda r: not r.failures, _theorem2_text, cases_csv, 15,
     ),
     "theorem1": _Command(
+        "progression density, odd orders",
+        (*_COMMON, _MAX_ORDER, _THREADS),
         lambda a, c: verify_theorem1(c.max_order, threads=c.threads),
-        lambda r: not r.failures, _theorem1_text,
-        cases_csv, 15,
+        lambda r: not r.failures, _theorem1_text, cases_csv, 15,
     ),
     "gls": _Command(
+        "Cayley triangle ceiling",
+        (*_COMMON, _MAX_ORDER, _THREADS),
         lambda a, c: verify_gls(c.max_order, threads=c.threads),
-        lambda r: not r.failures, _gls_text,
-        cases_csv, 16,
+        lambda r: not r.failures, _gls_text, cases_csv, 16,
     ),
     "lemma1": _Command(
+        "min-product concentration scan",
+        (
+            ("--d-max", dict(type=int, default=12)),
+            ("--radius", dict(type=int, default=3)),
+            ("--eps", dict(default="99/1000")),
+            *_COMMON, _THREADS,
+        ),
         lambda a, c: bruteforce_scan(a.d_max, a.radius, a.eps, threads=c.threads),
-        lambda r: not r.violations, _lemma1_text, lemma1_csv, None,
+        lambda r: not r.violations, _lemma1_text, lemma1_csv,
     ),
     "lemma2": _Command(
+        "induction inequality grid scan",
+        (
+            ("--q-max", dict(type=int, default=20)),
+            ("--alpha-steps", dict(type=int, default=101)),
+            ("--eta-steps", dict(type=int, default=51)),
+            *_COMMON, _THREADS, _GAMMA0,
+        ),
         lambda a, c: lemma2_scan(
             a.q_max, a.alpha_steps, a.eta_steps, gamma0=c.gamma0, threads=c.threads
         ),
-        lambda r: not r.violations, _lemma2_text, lemma2_csv, None,
+        lambda r: not r.violations, _lemma2_text, lemma2_csv,
     ),
     "fourier": _Command(
+        "random spectral-vs-direct crosscheck",
+        (
+            ("--sets", dict(type=int, default=1000)),
+            ("--max-factors", dict(type=int, default=3)),
+            ("--seed", dict(type=int, default=7)),
+            ("--tol-t3", dict(type=float, default=1e-6)),
+            ("--tol-plancherel", dict(type=float, default=1e-10)),
+            *_COMMON, _MAX_ORDER,
+        ),
         lambda a, c: random_crosscheck(
             a.sets, c.max_order, a.max_factors, a.seed,
             c.tolerance_spectral, a.tol_t3, a.tol_plancherel,
         ),
-        lambda r: r.passed, _fourier_text, None, 512,
+        lambda r: r.passed, _fourier_text, max_order=512,
     ),
 }
 
@@ -417,30 +482,10 @@ def _run_command(args) -> int:
     return 0 if spec.ok(report) else 1
 
 
-# ---------------------------------------------------------------------------
-# parser wiring
-# ---------------------------------------------------------------------------
-
-
-_FLAGS = {
-    "--max-order": dict(type=int, dest="max_order", help="largest group order"),
-    "--threads": dict(help="worker count or 'auto'"),
-    "--gamma0": dict(help="override the constant floor (rational)"),
-}
-
-
-def _add_common(parser: argparse.ArgumentParser, *extra: str) -> None:
-    """--config, --format and --out, plus the named flags from _FLAGS."""
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument(
-        "--format", dest="output_format", choices=_FORMATS, help="output format"
-    )
-    parser.add_argument("--out", help="write the report to a file")
-    for flag in extra:
-        parser.add_argument(flag, **_FLAGS[flag])
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The apx parser. Every command and suite is registered with its help, so
+    help and usage errors match the full tree's, but with argv only the commands
+    that argv names get their flags; argv=None builds them all."""
     parser = argparse.ArgumentParser(
         prog="apx",
         description=(
@@ -449,68 +494,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="all quantities for one explicit set")
-    p.add_argument("--group", required=True, help="comma-separated moduli, e.g. 3,5")
-    p.add_argument(
-        "--set", required=True, help="comma-separated element indices and lo..hi ranges"
-    )
-    p.add_argument("--structure", action="store_true", help="attach the diagnostics")
-    p.add_argument("--gamma", help="probed probability for --structure")
-    _add_common(p, "--gamma0")
-
-    p = sub.add_parser("search", help="exact extremal search at one size")
-    p.add_argument("--group", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--objective", choices=["prob", "t3density"], default="prob")
-    p.add_argument("--witness-cap", type=int, default=10)
-    _add_common(p, "--gamma0")
-
-    p = sub.add_parser("structure", help="spectral concentration diagnostics")
-    p.add_argument("--group", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--gamma", required=True, help="probed probability in (d/n, 1]")
-    _add_common(p)
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    vsub = verify.add_subparsers(dest="suite", required=True)
-
-    p = vsub.add_parser("theorem2", help="sum-closure bound, exhaustive")
-    _add_common(p, "--max-order", "--threads", "--gamma0")
-
-    p = vsub.add_parser("theorem1", help="progression density, odd orders")
-    _add_common(p, "--max-order", "--threads")
-
-    p = vsub.add_parser("gls", help="Cayley triangle ceiling")
-    _add_common(p, "--max-order", "--threads")
-
-    p = vsub.add_parser("lemma1", help="min-product concentration scan")
-    p.add_argument("--d-max", type=int, dest="d_max", default=12)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--eps", default="99/1000")
-    _add_common(p, "--threads")
-
-    p = vsub.add_parser("lemma2", help="induction inequality grid scan")
-    p.add_argument("--q-max", type=int, dest="q_max", default=20)
-    p.add_argument("--alpha-steps", type=int, dest="alpha_steps", default=101)
-    p.add_argument("--eta-steps", type=int, dest="eta_steps", default=51)
-    _add_common(p, "--threads", "--gamma0")
-
-    p = vsub.add_parser("fourier", help="random spectral-vs-direct crosscheck")
-    p.add_argument("--sets", type=int, default=1000)
-    p.add_argument("--max-factors", type=int, dest="max_factors", default=3)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol-t3", type=float, dest="tol_t3", default=1e-6)
-    p.add_argument(
-        "--tol-plancherel", type=float, dest="tol_plancherel", default=1e-10
-    )
-    _add_common(p, "--max-order")
-
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        if argv is not None and name not in argv:
+            if name == "verify":
+                break  # its suites are all that follow
+            continue
+        for flag, kwargs in spec.args:
+            p.add_argument(flag, **kwargs)
+        if name == "verify":
+            sub = p.add_subparsers(dest="suite", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return _run_command(args)
     except (ApxError, ValueError, OSError) as exc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 
@@ -42,6 +41,8 @@ def pmap(fn, items, threads: int = 1) -> list:
     items = list(items)
     if threads <= 1 or len(items) < 2:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     workers = min(threads, len(items))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -72,6 +72,34 @@ def test_closure_bound_without_floor():
     assert b.value == Fraction(31, 36) and b.active_branch == "term1"
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.fractions(0, 1, max_denominator=10**6),
+    st.none() | st.integers(0, 2) | st.fractions(0, 2) | st.sampled_from(["t1", "t2"]),
+)
+@example(1, Fraction(0), None)  # q = 1: both branches are 1 - a + a^2
+@example(1, Fraction(1), None)
+@example(1, Fraction(0), 1)  # all three tie at 1
+@example(1, Fraction(1), Fraction(1))
+@example(2, Fraction(1), 1)  # term2 = gamma0 = 1 > term1
+@example(3, Fraction(1, 2), "t1")  # gamma0 = term1 > term2
+@example(3, Fraction(1, 2), "t2")  # gamma0 = term2 < term1
+@example(7, Fraction(5, 6), "t2")  # gamma0 = term2 > term1
+def test_closure_bound_matches_the_fraction_max(q, alpha, gamma0):
+    # The integer kernel against the Fraction reference: max keeps the first
+    # of equal items, which is the tie rule term1, then term2, then gamma0.
+    branches = [("term1", bound_term1(q, alpha)), ("term2", bound_term2(q, alpha))]
+    if gamma0 in ("t1", "t2"):
+        gamma0 = branches[gamma0 == "t2"][1]
+    if gamma0 is not None:
+        branches.append(("gamma0", Fraction(gamma0)))
+    branch, value = max(branches, key=lambda item: item[1])
+    b = closure_bound(q, alpha, gamma0)
+    assert (b.active_branch, b.value) == (branch, value)
+    assert isinstance(b.value, Fraction)
+
+
 def test_closure_bound_validation():
     with pytest.raises(ValueError):
         closure_bound(0, 0)

@@ -1,4 +1,6 @@
+import argparse
 import json
+import sys
 import time
 
 import pytest
@@ -393,3 +395,58 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nope"])
     assert exc.value.code == 2
+
+
+_COMMAND_PATHS = [
+    (), ("compute",), ("search",), ("structure",), ("verify",),
+    *(
+        ("verify", suite)
+        for suite in ("theorem2", "theorem1", "gls", "lemma1", "lemma2", "fourier")
+    ),
+]
+
+
+def _parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(*path, "-h") for path in _COMMAND_PATHS]
+    + [("frob",), ("verify", "nope"), ("compute", "--bogus"), ()],
+)
+def test_parser_for_argv_reads_as_the_full_tree(argv, capsys):
+    # The parser built for argv prints the full tree's help and usage errors.
+    full = _parse_exit(capsys, cli.build_parser(), argv)
+    assert full[0] in (0, 2) and (full[1] or full[2])
+    assert _parse_exit(capsys, cli.build_parser(list(argv)), argv) == full
+
+
+def test_compute_builds_only_its_own_parsers(capsys, monkeypatch):
+    counts = {"parsers": 0, "arguments": 0}
+    init = argparse.ArgumentParser.__init__
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add_argument(self, *args, **kwargs):
+        counts["arguments"] += 1
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
+    compute = ["compute", "--group", "5", "--set", "1,4"]
+    assert main(compute) == 0
+    # The full tree has 11 parsers and 73 arguments; compute reads 5 and 13.
+    assert 0 < counts["parsers"] <= 5 and 0 < counts["arguments"] <= 13
+    # Without argv, main parses sys.argv and builds no more.
+    counts.update(parsers=0, arguments=0)
+    monkeypatch.setattr(sys, "argv", ["apx", *compute])
+    assert main() == 0
+    assert 0 < counts["parsers"] <= 5 and 0 < counts["arguments"] <= 13
+    assert "prob_direct" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +25,7 @@ from apx import (
     verify_theorem1,
     verify_theorem2,
 )
-from apx import search, util
+from apx import search
 from apx.counting import closure_cube, require_cube, t3_cube
 from apx.group import orbit_split
 from apx.report import report_json
@@ -177,8 +178,9 @@ def test_verify_suites_threads_deterministic():
 
 
 def test_small_sweeps_start_no_pool():
+    # pmap imports ProcessPoolExecutor from concurrent.futures when it starts one.
     pool = mock.patch.object(
-        util, "ProcessPoolExecutor", side_effect=AssertionError("pool")
+        concurrent.futures, "ProcessPoolExecutor", side_effect=AssertionError("pool")
     )
     with pool:
         verify_theorem2(8, threads=2)
