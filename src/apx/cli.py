@@ -20,12 +20,19 @@ from .counting import (
     SubsetMask,
     cayley_triangles_direct,
     cayley_triangles_formula,
+    decode,
     direct_prob,
     direct_t3,
     prob_from_s0,
 )
 from .errors import ApxError
-from .fourier import prob_spectral, random_crosscheck, structure_report, t3_spectral
+from .fourier import (
+    dft_indicator,
+    prob_from_coeffs,
+    random_crosscheck,
+    structure_report,
+    t3_from_coeffs,
+)
 from .group import parse_group
 from .lemma1 import bruteforce_scan
 from .report import cases_csv, frac_str, lemma1_csv, lemma2_csv, report_json
@@ -124,13 +131,16 @@ def _run_compute(args, cfg: RunConfig) -> dict:
     if args.gamma is not None and not args.structure:
         raise ValueError("--gamma needs --structure")
     group = parse_group(args.group)
-    s = _parse_set(group, args.set)
+    # One decode, one pair-sum pass (s.pairs) and one spectrum serve every
+    # quantity of S below.
+    s = decode(_parse_set(group, args.set))
     if s.size == 0:
         raise ValueError("the set must be non-empty")
     n, d = group.order, s.size
     symmetric = s.is_symmetric
     cayley_valid = symmetric and not s.contains_zero
     odd = n % 2 == 1
+    coeffs = dft_indicator(s) if symmetric or odd else None
     profile = size_profile(n, d)
     bound = closure_bound(profile.q, profile.alpha, cfg.gamma0)
 
@@ -142,9 +152,9 @@ def _run_compute(args, cfg: RunConfig) -> dict:
         "symmetric": symmetric,
         "contains_zero": s.contains_zero,
         "prob_direct": direct_prob(s),
-        "prob_spectral": prob_spectral(s) if symmetric else None,
+        "prob_spectral": prob_from_coeffs(coeffs, d) if symmetric else None,
         "t3_direct": direct_t3(s),
-        "t3_spectral": t3_spectral(s) if odd else None,
+        "t3_spectral": t3_from_coeffs(group, coeffs) if odd else None,
         "cayley_valid": cayley_valid,
         "cayley_triangles_direct": cayley_triangles_direct(s) if cayley_valid else None,
         "cayley_triangles_formula": (
@@ -154,7 +164,7 @@ def _run_compute(args, cfg: RunConfig) -> dict:
         "size_profile": {"q": profile.q, "alpha": profile.alpha},
         "bound": {"value": bound.value, "branch": bound.active_branch},
         "structure": (
-            structure_report(s, args.gamma, cfg.gamma0) if args.structure else None
+            structure_report(s, args.gamma, cfg.gamma0, coeffs) if args.structure else None
         ),
     }
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,16 +55,11 @@ class SubsetMask:
                 group._check_index(i)  # raises at the first bad index
         memb = np.zeros(n, dtype=np.uint8)
         memb[np.fromiter(indices, dtype=np.int64, count=len(indices))] = 1
-        return _encode(group, memb)
+        packed = np.packbits(memb, bitorder="little")  # decode's inverse
+        return cls(group, int.from_bytes(packed.tobytes(), "little"))
 
     def indices(self) -> tuple[int, ...]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return tuple(out)
+        return tuple(decode(self).elems.tolist())
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.group.order and (self.bits >> i) & 1 == 1
@@ -75,8 +71,7 @@ class SubsetMask:
     @property
     def is_symmetric(self) -> bool:
         """True when S = -S."""
-        elems, memb = _decode(self)
-        return bool(memb[neg_table(self.group)[elems]].all())
+        return decode(self).is_symmetric
 
     def with_zero(self) -> "SubsetMask":
         return SubsetMask(self.group, self.bits | 1)
@@ -84,21 +79,71 @@ class SubsetMask:
     @property
     def label(self) -> str:
         """Sorted index notation, e.g. "{1,2,4}"."""
-        return "{" + ",".join(str(i) for i in self.indices()) + "}"
+        return decode(self).label
 
 
-def _encode(group: GroupSpec, memb: np.ndarray) -> SubsetMask:
-    """The subset whose 0/1 membership over the group is memb; _decode's inverse."""
-    packed = np.packbits(memb, bitorder="little")
-    return SubsetMask(group, int.from_bytes(packed.tobytes(), "little"))
+class DecodedSet:
+    """A set read off its mask once: its 0/1 membership and element indices.
+
+    Every oracle here and in the spectral module takes one in place of a
+    SubsetMask, so a caller that asks several of them about one set decodes
+    it once, and makes its pair-sum pass once.
+    """
+
+    __slots__ = ("group", "memb", "elems", "_pairs")
+
+    def __init__(self, group: GroupSpec, memb: np.ndarray, elems: np.ndarray | None = None):
+        self.group = group
+        self.memb = memb  # uint8, 1 at each element of the set
+        self.elems = memb.nonzero()[0] if elems is None else elems  # ascending
+        self._pairs = None
+
+    @property
+    def size(self) -> int:
+        return self.elems.size
+
+    @property
+    def contains_zero(self) -> bool:
+        return bool(self.memb[0])
+
+    @property
+    def is_symmetric(self) -> bool:
+        """True when S = -S."""
+        return bool(self.memb[neg_table(self.group)[self.elems]].all())
+
+    @property
+    def label(self) -> str:
+        """Sorted index notation, e.g. "{1,2,4}"."""
+        return set_label(self.elems.tolist())
+
+    def with_zero(self) -> "DecodedSet":
+        """S union {0}, built from this decode."""
+        if self.contains_zero:
+            return self
+        memb = self.memb.copy()
+        memb[0] = 1
+        return DecodedSet(self.group, memb, np.concatenate(([0], self.elems)))
+
+    @property
+    def pairs(self) -> "PairSums":
+        """The set's pair-sum pass, by the route pair_route picks; made once."""
+        if self._pairs is None:
+            self._pairs = pair_route(self.group, self.size)(self.group, self.elems)
+        return self._pairs
 
 
-def _decode(s: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
-    """(element indices, 0/1 membership over the group), read off the mask."""
+def set_label(indices) -> str:
+    """The label of the set with these ascending element indices, e.g. "{1,2,4}"."""
+    return "{" + ",".join(map(str, indices)) + "}"
+
+
+def decode(s: SubsetMask | DecodedSet) -> DecodedSet:
+    """s read off its mask; a DecodedSet is returned as it is."""
+    if isinstance(s, DecodedSet):
+        return s
     n = s.group.order
     packed = np.frombuffer(s.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
-    memb = np.unpackbits(packed, count=n, bitorder="little")
-    return memb.nonzero()[0], memb
+    return DecodedSet(s.group, np.unpackbits(packed, count=n, bitorder="little"))
 
 
 # Largest input polynomial the square route squares: 2^23 bits, about 3 s
@@ -114,19 +159,41 @@ def _digit_dtype(size: int) -> np.dtype:
     return _DIGITS[(size >= 1 << 8) + (size >= 1 << 16)]
 
 
-def _gather_pair_weight_sum(group: GroupSpec, elems, weights) -> int:
-    """sum over (a, b) in S^2 of weights[a + b], from all |S|^2 pair sums."""
-    return int(weights[pair_sums(group, elems, elems)].sum(dtype=np.int64))
+class PairSums(NamedTuple):
+    """r(x) = #{(a, b) in S^2 : a + b = x} of a set S, from one pass over its pairs.
+
+    The square route leaves r itself, one count per group element (dense);
+    the gather route leaves the |S|^2 pair sums in ascending order, where
+    r(x) is the length of the run of x. Both take no O(n) weights.
+    """
+
+    values: np.ndarray
+    dense: bool  # values is r itself, one count per element
+
+    def total(self, x: np.ndarray) -> int:
+        """The sum of r(x_i) over an array x of element indices."""
+        if self.dense:
+            return int(self.values[x].sum(dtype=np.int64))
+        runs = np.searchsorted(self.values, x, "right") - np.searchsorted(self.values, x)
+        return int(runs.sum())
 
 
-def _square_pair_weight_sum(group: GroupSpec, elems, weights) -> int:
-    """sum over (a, b) in S^2 of weights[a + b], by Kronecker substitution.
+def _gather_pair_sums(group: GroupSpec, elems) -> PairSums:
+    """The |S|^2 pair sums of S, sorted in place."""
+    sums = pair_sums(group, elems, elems).reshape(-1)
+    sums.sort()
+    return PairSums(sums, dense=False)
+
+
+def _square_pair_counts(group: GroupSpec, elems) -> PairSums:
+    """r over the whole group, by Kronecker substitution.
 
     Digit embed[a] of poly is 1 for each a in S, so digit v of poly^2
     counts the pairs whose padded sum embed[a] + embed[b] is v. embed is
     injective and carry-free, so b is fixed by a and v: a digit never
-    exceeds |S| and never carries into the next. The square has
-    len(reduce) digits, and reduce maps digit v to the element it sums to.
+    exceeds |S| and never carries into the next. Adding each digit onto
+    the element reduce[v] it sums to gives r; those digits count pairs of
+    one sum, so r(x) is at most |S| too, and the digit dtype holds it.
     """
     embed, reduce = _sum_kernel(group)
     digit = _digit_dtype(len(elems))
@@ -134,16 +201,17 @@ def _square_pair_weight_sum(group: GroupSpec, elems, weights) -> int:
     digits[embed[elems].astype(np.intp)] = 1  # an int32 index scatters slowly
     poly = int.from_bytes(digits.tobytes(), "little")
     square = (poly * poly).to_bytes(reduce.size * digit.itemsize, "little")
-    counts = np.frombuffer(square, dtype=digit)
-    return int(np.dot(counts, weights.astype(np.int64, copy=False)[reduce]))
+    counts = np.zeros(group.order, dtype=digit)
+    np.add.at(counts, reduce, np.frombuffer(square, dtype=digit))
+    return PairSums(counts, dense=True)
 
 
 @lru_cache(maxsize=1024)  # the oracles ask once per set, a search per candidate
 def pair_route(group: GroupSpec, size: int):
-    """The route that sums weights over the pair sums of a size-element set.
+    """The route that makes the pair-sum pass of a size-element set.
 
-    Both routes take (group, elems, weights) and return the exact sum over
-    (a, b) in S^2 of weights[a + b], S the element indices elems.
+    Both routes take (group, elems) and return the PairSums of the set S
+    with element indices elems.
 
     Squaring wins when the set is dense in the padded span of the carry-free
     embedding (see _sum_kernel), the gather when it is sparse. A route whose
@@ -157,8 +225,8 @@ def pair_route(group: GroupSpec, size: int):
     bits = 8 * width * span
     table_bytes = 4 * cells
     gather_bytes = 4 * size * size
-    # digits, their bytes and poly; the square and its bytes; the int64
-    # weights (n <= span), their gather and the counts cast for the dot
+    # An upper bound, with room to spare, on the digits, their bytes and
+    # poly, the square and its bytes, and the counts (n <= span).
     square_bytes = table_bytes + width * (3 * span + 2 * cells) + 8 * span + 16 * cells
     gather_fits = max(table_bytes, gather_bytes) <= _MAX_TABLE_BYTES
     square_fits = square_bytes <= _MAX_TABLE_BYTES and bits <= _MAX_SQUARE_BITS
@@ -176,44 +244,46 @@ def pair_route(group: GroupSpec, size: int):
     # CPython's Karatsuba multiplication.
     square_cheaper = (width * span) ** 1.585 < 10 * (size * size + 200)
     if square_fits and (not gather_fits or square_cheaper):
-        return _square_pair_weight_sum
-    return _gather_pair_weight_sum
+        return _square_pair_counts
+    return _gather_pair_sums
 
 
-def sum_closure_count(s: SubsetMask) -> int:
+def _pair_sums_of(s: SubsetMask | DecodedSet) -> tuple[DecodedSet, PairSums]:
+    """s decoded and its pair-sum pass; pair_route refuses before a mask is decoded."""
+    pair_route(s.group, s.size)
+    s = decode(s)
+    return s, s.pairs
+
+
+def sum_closure_count(s: SubsetMask | DecodedSet) -> int:
     """#{(x, y) in S^2 : x + y in S}, the numerator of direct_prob."""
     if s.size == 0:
         return 0
-    route = pair_route(s.group, s.size)
-    elems, memb = _decode(s)
-    return route(s.group, elems, memb)
+    s, pairs = _pair_sums_of(s)
+    return pairs.total(s.elems)
 
 
-def direct_prob(s: SubsetMask) -> Fraction:
+def direct_prob(s: SubsetMask | DecodedSet) -> Fraction:
     """Exact sum-closure probability #{(x,y) in S^2 : x+y in S} / |S|^2."""
     if s.size == 0:
         raise EmptySetError("sum-closure probability needs a non-empty set")
     return Fraction(sum_closure_count(s), s.size * s.size)
 
 
-def direct_t3(s: SubsetMask) -> int:
+def direct_t3(s: SubsetMask | DecodedSet) -> int:
     """Count pairs (x, step) with x, x+step, x+2*step all in S.
 
     The step 0 pairs (degenerate progressions) are included, so the full
     group scores order^2. Works for every group order. (x, step) ->
     (a, b, c) = (x, x + step, x + 2*step) is a bijection onto the triples
-    in S^3 with a + c = 2b, so this is the sum over (a, c) in S^2 of
-    #{b in S : 2b = a + c}.
+    in S^3 with a + c = 2b, so this is the sum over b in S of r(2b), the
+    pairs (a, c) in S^2 with a + c = 2b.
     """
     if s.size == 0:
         return 0
-    g = s.group
-    route = pair_route(g, s.size)
-    elems, _ = _decode(s)
-    halves = np.bincount(double_table(g)[elems], minlength=g.order)
-    # Each count is at most |S|, so the gathered weights stay as narrow as
-    # the square's digits.
-    return route(g, elems, halves.astype(_digit_dtype(s.size)))
+    s, pairs = _pair_sums_of(s)
+    embed, reduce = _sum_kernel(s.group)
+    return pairs.total(reduce[2 * embed[s.elems]])
 
 
 # Byte budget for one block of neighbour rows or edge-row intersections in
@@ -226,15 +296,15 @@ _BLOCK_BYTES = 1 << 20
 _MAX_CAYLEY_WORDS = 1 << 29
 
 
-def _connection_set(s: SubsetMask) -> tuple[np.ndarray, np.ndarray]:
-    """(S, -S) as element index arrays, once S is checked to be 0-free and symmetric."""
+def _connection_set(s: SubsetMask | DecodedSet) -> tuple[DecodedSet, np.ndarray]:
+    """(S decoded, -S as element indices), once S is checked to be 0-free and symmetric."""
     if s.contains_zero:
         raise InvalidConnectionSetError("connection set must not contain 0")
-    elems, memb = _decode(s)
-    negs = neg_table(s.group)[elems]
-    if np.count_nonzero(memb[negs]) < elems.size:  # cheaper than .all() on small sets
+    s = decode(s)
+    negs = neg_table(s.group)[s.elems]
+    if np.count_nonzero(s.memb[negs]) < s.size:  # cheaper than .all() on small sets
         raise InvalidConnectionSetError("connection set must be symmetric")
-    return elems, negs
+    return s, negs
 
 
 def require_cayley(group: GroupSpec, size: int) -> None:
@@ -263,7 +333,7 @@ def _common_neighbours(rows: np.ndarray, lo: int, ends: np.ndarray) -> int:
     return int(np.bitwise_count(block).sum())
 
 
-def cayley_triangles_direct(s: SubsetMask) -> int:
+def cayley_triangles_direct(s: SubsetMask | DecodedSet) -> int:
     """Triangle count of the Cayley graph on G with connection set S.
 
     Counts the closed 3-walks of the actual graph and divides by 6; never
@@ -278,7 +348,8 @@ def cayley_triangles_direct(s: SubsetMask) -> int:
     walks only the steps a < -a, twice, since (u, u + a) is the edge
     (u + a, u) of step -a read backwards, and each involution a = -a once.
     """
-    elems, negs = _connection_set(s)
+    s, negs = _connection_set(s)
+    elems = s.elems
     if elems.size == 0:
         return 0
     g = s.group
@@ -308,9 +379,9 @@ def cayley_triangles_direct(s: SubsetMask) -> int:
     return closed_walks // 6
 
 
-def cayley_triangles_formula(s: SubsetMask) -> int:
+def cayley_triangles_formula(s: SubsetMask | DecodedSet) -> int:
     """Triangle count via (1/6) * n * |S|^2 * Prob[S]; must be an integer."""
-    _connection_set(s)
+    s, _ = _connection_set(s)
     if s.size == 0:
         return 0
     count = Fraction(s.group.order * s.size * s.size, 6) * direct_prob(s)
@@ -319,14 +390,14 @@ def cayley_triangles_formula(s: SubsetMask) -> int:
     return int(count)
 
 
-def prob_from_s0(s: SubsetMask) -> Fraction:
+def prob_from_s0(s: SubsetMask | DecodedSet) -> Fraction:
     """Prob[S] recovered from S0 = S union {0}.
 
     Uses the exact identity
     Prob[S] = (|S0|^2/|S|^2) * (Prob[S0] - (3|S|+1)/|S0|^2)
     valid for symmetric 0-free S; Prob[S0] comes from direct_prob.
     """
-    _connection_set(s)
+    s, _ = _connection_set(s)
     if s.size == 0:
         raise EmptySetError("the S0 identity needs a non-empty set")
     s0 = s.with_zero()

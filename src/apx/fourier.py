@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import GAMMA0, induction_bound
-from .counting import SubsetMask, _decode, _encode, direct_prob, direct_t3
+from .counting import DecodedSet, SubsetMask, decode, direct_prob, direct_t3
 from .errors import (
     EmptySetError,
     MuUndefinedError,
@@ -30,10 +30,10 @@ from .errors import (
 )
 from .group import (
     GroupSpec,
+    _coordinate_scaling_table,
     _coordinate_sum,
-    double_table,
+    _factors,
     make_group,
-    neg_table,
     orbit_split,
 )
 from .util import as_fraction
@@ -43,11 +43,10 @@ from .util import as_fraction
 _TIE_TOLERANCE = 1e-12
 
 
-def dft_indicator(s: SubsetMask) -> np.ndarray:
+def dft_indicator(s: SubsetMask | DecodedSet) -> np.ndarray:
     """Read-only Fourier coefficients of 1_S, in the shared mixed-radix order."""
-    g = s.group
-    _, memb = _decode(s)
-    shaped = memb.astype(np.complex128).reshape(tuple(reversed(g.moduli)))
+    shape = tuple(reversed(_factors(s.group)))  # a Z_1 axis would only cost time
+    shaped = decode(s).memb.astype(np.complex128).reshape(shape)
     coeffs = np.fft.fftn(shaped, norm="forward").reshape(-1)
     coeffs.setflags(write=False)
     return coeffs
@@ -59,34 +58,37 @@ def plancherel_residual(coeffs: np.ndarray, size: int) -> float:
     return abs(energy - size / coeffs.size)
 
 
-def _prob_from_coeffs(coeffs: np.ndarray, size: int) -> float:
+def prob_from_coeffs(coeffs: np.ndarray, size: int) -> float:
+    """(n^2/d^2) * sum of coefficient cubes, from the spectrum of a d-element set."""
     n = coeffs.size
     return float(np.real(np.sum(coeffs**3)) * n * n / (size * size))
 
 
-def _t3_from_coeffs(group: GroupSpec, coeffs: np.ndarray) -> float:
-    paired = coeffs[neg_table(group)[double_table(group)]]
+def t3_from_coeffs(group: GroupSpec, coeffs: np.ndarray) -> float:
+    """n^2 * sum_m coeff[m]^2 * coeff[-2m], from the spectrum of a set."""
+    paired = coeffs[_coordinate_scaling_table(group, lambda m: -2)]  # coeff[-2m]
     n = group.order
     return float(np.real(np.sum(coeffs * coeffs * paired)) * n * n)
 
 
-def prob_spectral(s: SubsetMask) -> float:
+def prob_spectral(s: SubsetMask | DecodedSet) -> float:
     """Sum-closure probability as (n^2/d^2) * sum of coefficient cubes.
 
     Valid for symmetric sets, where every coefficient is real.
     """
     if s.size == 0:
         raise EmptySetError("spectral probability needs a non-empty set")
+    s = decode(s)
     if not s.is_symmetric:
         raise SymmetryRequiredError("spectral probability needs S = -S")
-    return _prob_from_coeffs(dft_indicator(s), s.size)
+    return prob_from_coeffs(dft_indicator(s), s.size)
 
 
-def t3_spectral(s: SubsetMask) -> float:
+def t3_spectral(s: SubsetMask | DecodedSet) -> float:
     """Progression count as n^2 * sum_m coeff[m]^2 * coeff[-2m]."""
     if s.size == 0:
         raise EmptySetError("spectral progression count needs a non-empty set")
-    return _t3_from_coeffs(s.group, dft_indicator(s))
+    return t3_from_coeffs(s.group, dft_indicator(s))
 
 
 def top_nonzero_coefficient(coeffs: np.ndarray):
@@ -145,12 +147,12 @@ def _bucket(phases: np.ndarray, g: int, modulus: int) -> WeightSeq:
     return WeightSeq(modulus=modulus, weights=dict(weights), total=len(phases))
 
 
-def residue_weights(s: SubsetMask, m0: int) -> WeightSeq:
+def residue_weights(s: SubsetMask | DecodedSet, m0: int) -> WeightSeq:
     """Bucket S by the phase j/n of the m0 character, reduced to Z_{n/g}."""
     if m0 == 0:
         raise ValueError("residue weights need a nonzero frequency")
     g = character_reduction(s.group, m0)
-    phases = character_values(s.group, m0)[list(s.indices())]
+    phases = character_values(s.group, m0)[decode(s).elems]
     return _bucket(phases, g, s.group.order // g)
 
 
@@ -179,7 +181,9 @@ class StructureReport:
     induction_rhs: Fraction | None
 
 
-def structure_report(s: SubsetMask, gamma, gamma0=GAMMA0) -> StructureReport:
+def structure_report(
+    s: SubsetMask | DecodedSet, gamma, gamma0=GAMMA0, coeffs: np.ndarray | None = None
+) -> StructureReport:
     """Run the spectral concentration diagnostics on a symmetric set.
 
     gamma is the probed probability level, anything in (d/n, 1]: the report
@@ -187,8 +191,10 @@ def structure_report(s: SubsetMask, gamma, gamma0=GAMMA0) -> StructureReport:
     beta are the derived levels; the arc is the preimage of phases in
     [-2pi/3, 2pi/3] (closed); eta is the weight of the kernel bucket; the
     induction fields are absent when that bucket is empty, and the
-    induction bound uses the constant floor gamma0.
+    induction bound uses the constant floor gamma0. coeffs, when given, is
+    dft_indicator(s), which a caller that has it need not transform again.
     """
+    s = decode(s)
     if not s.is_symmetric:
         raise SymmetryRequiredError("structure diagnostics need S = -S")
     n = s.group.order
@@ -208,11 +214,13 @@ def structure_report(s: SubsetMask, gamma, gamma0=GAMMA0) -> StructureReport:
     nu = Fraction(2 * mu + 1, 3)
     beta = (gamma + 2 * nu * nu - nu - 1) / (nu * nu)
 
-    m0, coeff_value = top_nonzero_coefficient(dft_indicator(s))
+    if coeffs is None:
+        coeffs = dft_indicator(s)
+    m0, coeff_value = top_nonzero_coefficient(coeffs)
     g = character_reduction(s.group, m0)
     k = n // g
 
-    phases = character_values(s.group, m0)[list(s.indices())]
+    phases = character_values(s.group, m0)[s.elems]
     # |centered phase| = min(v, n - v); the arc keeps those at most n/3.
     arc_size = np.count_nonzero(3 * np.minimum(phases, n - phases) <= n)
     weights = _bucket(phases, g, k)
@@ -287,16 +295,27 @@ def _random_group(rng: random.Random, max_order: int, max_factors: int, odd: boo
     return make_group(moduli)
 
 
-def _random_symmetric_subset(rng: random.Random, group: GroupSpec) -> SubsetMask:
+def _orbit_bits(rng: random.Random, k: int) -> np.ndarray:
+    """[rng.random() < 0.5 for _ in range(k)] as a bool array, from one draw.
+
+    random() reads two 32-bit words and is below 1/2 exactly when the first
+    is below 2^31; getrandbits(64 k) reads the same 2k words in the same
+    order, least significant first, and leaves the same state.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+    return words[::2] < 1 << 31
+
+
+def _random_symmetric_subset(rng: random.Random, group: GroupSpec) -> DecodedSet:
     fixed, pairs = orbit_split(group)
     while True:
         # One draw per orbit, fixed points first; a draw below 1/2 keeps it.
-        keep = np.array([rng.random() for _ in range(len(fixed) + len(pairs))]) < 0.5
+        keep = _orbit_bits(rng, len(fixed) + len(pairs))
         memb = np.zeros(group.order, dtype=np.uint8)
         memb[fixed[keep[: len(fixed)]]] = 1
         memb[pairs[keep[len(fixed) :]]] = 1
         if memb.any():
-            return _encode(group, memb)
+            return DecodedSet(group, memb)
 
 
 def random_crosscheck(
@@ -352,15 +371,15 @@ def random_crosscheck(
         max_imag = max(max_imag, imag)
 
         # s is symmetric and non-empty by construction, so both identities
-        # read this one spectrum.
-        prob_err = abs(_prob_from_coeffs(coeffs, s.size) - float(direct_prob(s)))
+        # read this one spectrum, and both oracles its one pair-sum pass.
+        prob_err = abs(prob_from_coeffs(coeffs, s.size) - float(direct_prob(s)))
         max_prob_err = max(max_prob_err, prob_err)
         if prob_err > tol_prob:
             failures.append(f"{where}: prob mismatch {prob_err:.3e}")
 
         if group.order % 2 == 1:
             odd_trials += 1
-            t3_err = abs(_t3_from_coeffs(group, coeffs) - direct_t3(s))
+            t3_err = abs(t3_from_coeffs(group, coeffs) - direct_t3(s))
             max_t3_err = max(max_t3_err, t3_err)
             if t3_err > tol_t3:
                 failures.append(f"{where}: t3 mismatch {t3_err:.3e}")

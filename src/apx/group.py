@@ -165,10 +165,19 @@ def _coordinate_sum(digits) -> np.ndarray:
     return reduce(lambda table, digit: np.add.outer(digit, table).reshape(-1), digits)
 
 
+def _factors(group: GroupSpec) -> tuple[int, ...]:
+    """The moduli other than 1, or (1,) for the trivial group.
+
+    A factor Z_1 has the one coordinate 0 and changes no index, stride or
+    padded stride, so the tables and the spectrum skip it.
+    """
+    return tuple(m for m in group.moduli if m > 1) or (1,)
+
+
 def _coordinate_scaling_table(group: GroupSpec, factor_fn) -> np.ndarray:
     digits = []
     stride = 1
-    for m in group.moduli:
+    for m in _factors(group):
         digit = np.arange(m, dtype=np.int64)
         digit *= factor_fn(m)
         digit %= m
@@ -222,7 +231,7 @@ def _sum_kernel(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     embed = reduce = None
     stride = pad = 1
-    for m in group.moduli:
+    for m in _factors(group):
         place = np.arange(0, pad * m, pad, dtype=np.int32)
         digit = np.arange(2 * m - 1, dtype=np.int32)
         digit %= m

@@ -30,6 +30,7 @@ from .counting import (
     direct_t3,
     pair_route,
     require_cube,
+    set_label,
     t3_cube,
 )
 from .errors import ApxError, OddOrderRequiredError
@@ -260,7 +261,7 @@ def _reversed_bits(values: np.ndarray, width: int) -> np.ndarray:
     return reversed_
 
 
-def _cube_rows(group: GroupSpec, cube: np.ndarray, orbits):
+def _cube_rows(cube: np.ndarray, orbits):
     """(d, maximum, witness label, cells) of every size d that has cells, by d.
 
     Row 0 is the empty set, which the bound suites skip.
@@ -295,8 +296,7 @@ def _cube_rows(group: GroupSpec, cube: np.ndarray, orbits):
     rows = []
     for d, winner in zip(tie_sizes[last].tolist(), ties[last].tolist()):
         elements = (e for i, orbit in enumerate(orbits) if winner >> i & 1 for e in orbit)
-        label = SubsetMask.from_indices(group, elements).label
-        rows.append((d, int(maxima[d]), label, int(cells[d])))
+        rows.append((d, int(maxima[d]), set_label(sorted(elements)), int(cells[d])))
     return rows
 
 
@@ -329,7 +329,7 @@ def _theorem2_group_cases(group: GroupSpec, gamma0) -> list[Theorem2Case]:
     n = group.order
     orbits = _symmetric_orbits(group)
     out = []
-    rows = _cube_rows(group, closure_cube(group, orbits), orbits)
+    rows = _cube_rows(closure_cube(group, orbits), orbits)
     for d, count, witness, _ in rows[1:]:
         profile = size_profile(n, d)
         high = Fraction(count, d * d)
@@ -388,7 +388,7 @@ def _theorem1_group_cases(group: GroupSpec) -> list[Theorem1Case]:
     n = group.order
     orbits = [(x,) for x in range(n)]
     out = []
-    for d, count, witness, _ in _cube_rows(group, t3_cube(group), orbits)[1:]:
+    for d, count, witness, _ in _cube_rows(t3_cube(group), orbits)[1:]:
         profile = size_profile(n, d)
         high = Fraction(count, d * d)
         bound = closure_bound(profile.q, profile.alpha, None).value
@@ -451,7 +451,7 @@ def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
     n = group.order
     orbits = _symmetric_orbits(group, zero=False)
     out = []
-    rows = _cube_rows(group, closure_cube(group, orbits), orbits)
+    rows = _cube_rows(closure_cube(group, orbits), orbits)
     for d, count, witness, sets in rows:
         max_triangles = n * count // 6
         bound = gls_bound(n, d)

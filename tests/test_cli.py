@@ -3,10 +3,12 @@ import json
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from apx import cli, search
+from apx import cli, counting, search
 from apx.cli import main
+from apx.fourier import random_crosscheck
 from apx.report import report_json
 
 
@@ -450,3 +452,47 @@ def test_compute_builds_only_its_own_parsers(capsys, monkeypatch):
     assert main() == 0
     assert 0 < counts["parsers"] <= 5 and 0 < counts["arguments"] <= 13
     assert "prob_direct" in capsys.readouterr().out
+
+
+@pytest.fixture
+def set_work(monkeypatch):
+    """Counts of mask decodes, pair-sum passes and FFTs while a test runs."""
+    counts = {"decode": 0, "pass": 0, "fft": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "unpackbits", counted("decode", np.unpackbits))
+    monkeypatch.setattr(np.fft, "fftn", counted("fft", np.fft.fftn))
+    for route in ("_square_pair_counts", "_gather_pair_sums"):
+        monkeypatch.setattr(counting, route, counted("pass", getattr(counting, route)))
+    counting.pair_route.cache_clear()  # a cached route would skip the wrappers
+    yield counts
+    counting.pair_route.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv, passes, ffts",
+    [
+        # symmetric and 0-free: S0 = S + {0} is a second set with its own pass
+        (["--group", "15", "--set", "1,4,6,9,11,14"], 2, 1),
+        (["--group", "15", "--set", "1,4,6,9,11,14", "--structure", "--gamma", "1/2"], 2, 1),
+        (["--group", "3,5", "--set", "1,2,7"], 1, 1),  # odd order, not symmetric
+        (["--group", "2,8", "--set", "0,2,14"], 1, 1),  # even order, symmetric
+        (["--group", "2,8", "--set", "0,1,15"], 1, 0),  # no spectral quantity
+        (["--group", "1024", "--set", "1,1023"], 2, 1),  # the gather route
+    ],
+)
+def test_compute_decodes_pairs_and_transforms_its_set_once(argv, passes, ffts, set_work, capsys):
+    assert main(["compute", *argv]) == 0
+    assert set_work == {"decode": 1, "pass": passes, "fft": ffts}
+
+
+def test_crosscheck_trial_pairs_and_transforms_its_set_once(set_work):
+    # A trial draws its set's membership, so it decodes nothing.
+    assert random_crosscheck(trials=40, max_order=128, seed=3).passed
+    assert set_work == {"decode": 0, "pass": 40, "fft": 40}

@@ -31,6 +31,7 @@ from apx.search import _symmetric_bits, _symmetric_orbits
 
 from conftest import (
     add,
+    add_table,
     dense_cayley_triangles,
     dilation_perm,
     empty,
@@ -222,9 +223,15 @@ def test_crossvalidation_exhaustive_small_orders():
                 s = SubsetMask(g, bits)
                 if s.contains_zero:
                     continue
-                assert cayley_triangles_direct(s) == cayley_triangles_formula(s)
+                triangles = cayley_triangles_direct(s)
+                assert triangles == cayley_triangles_formula(s)
+                # Read off one decode, the oracles give what the mask gives.
+                decoded = counting.decode(s)
+                assert cayley_triangles_direct(decoded) == triangles
+                assert cayley_triangles_formula(decoded) == triangles
                 if s.size:
                     assert prob_from_s0(s) == direct_prob(s)
+                    assert prob_from_s0(decoded) == direct_prob(decoded) == direct_prob(s)
 
 
 def test_prob_bounds_and_subgroups():
@@ -343,10 +350,10 @@ def test_closure_cube_refuses_cells_past_uint16():
         closure_cube(g, [tuple(range(256))])
 
 
-# The pair-sum oracles and both of their routes against the addition-table
-# forms in conftest.
+# The pair-sum oracles and both routes of their pass against the
+# addition-table forms in conftest.
 
-ROUTES = (counting._gather_pair_weight_sum, counting._square_pair_weight_sum)
+ROUTES = (counting._gather_pair_sums, counting._square_pair_counts)
 
 oracle_groups = st.one_of(
     st.sampled_from(EDGE_GROUPS + [(2, 1, 3), (4, 3, 5)]),
@@ -357,11 +364,19 @@ oracle_groups = st.one_of(
 
 
 def route_counts(route, s):
-    """(sum_closure_count, direct_t3) of s, both through one forced route."""
+    """(sum_closure_count, direct_t3) of s, both read off one forced pass.
+
+    The pass itself must hold r(x) = #{(a, b) in S^2 : a + b = x} of every
+    x (the square route) or the sorted pair sums (the gather route), as the
+    addition table gives them.
+    """
     g = s.group
-    elems, memb = counting._decode(s)
-    halves = np.bincount(double_table(g)[elems], minlength=g.order)
-    return route(g, elems, memb), route(g, elems, halves)
+    elems = counting.decode(s).elems
+    pairs = route(g, elems)
+    sums = add_table(g)[np.ix_(elems, elems)].reshape(-1)
+    expected = np.bincount(sums, minlength=g.order) if pairs.dense else np.sort(sums)
+    assert np.array_equal(pairs.values, expected)
+    return pairs.total(elems), pairs.total(double_table(g)[elems])
 
 
 @settings(max_examples=200, deadline=None)
@@ -383,6 +398,37 @@ def test_pair_sum_oracles_match_table_references(g, bits):
     assert (sum_closure_count(s), direct_t3(s)) == expected
     for route in ROUTES:
         assert route_counts(route, s) == expected
+    # A decoded set answers both oracles from the one pass it keeps.
+    decoded = counting.decode(s)
+    assert (sum_closure_count(decoded), direct_t3(decoded)) == expected
+    assert decoded.pairs is decoded.pairs
+
+
+def bit_indices(bits):
+    """The set bits of bits in ascending order, peeled off one at a time."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_groups, st.integers(0, (1 << 256) - 1))
+@example(make_group([1]), 0)
+@example(make_group([1]), 1)
+@example(make_group([1, 1]), 1)
+@example(make_group([2, 1, 3]), 0b110101)
+def test_indices_and_label_match_the_set_bits(g, bits):
+    s = SubsetMask(g, bits % (1 << g.order))
+    expected = bit_indices(s.bits)
+    assert s.indices() == expected
+    assert s.label == "{" + ",".join(map(str, expected)) + "}"
+    decoded = counting.decode(s)
+    assert tuple(decoded.elems.tolist()) == expected and decoded.size == s.size
+    assert decoded.label == s.label
+    assert (decoded.contains_zero, decoded.is_symmetric) == (s.contains_zero, s.is_symmetric)
 
 
 def test_pair_routes_at_the_digit_width_boundary():
@@ -406,17 +452,17 @@ def test_pair_routes_at_the_digit_width_boundary():
 def test_pair_route_takes_the_square_for_dense_sets():
     cyclic, rank3 = make_group([65536]), make_group([16, 16, 32])
     for g, size, route in [
-        (make_group([64]), 2, counting._square_pair_weight_sum),  # both about 8 us
-        (make_group([1024]), 16, counting._gather_pair_weight_sum),
-        (make_group([512]), 256, counting._square_pair_weight_sum),
-        (cyclic, 32, counting._gather_pair_weight_sum),
-        (cyclic, 2048, counting._gather_pair_weight_sum),
-        (cyclic, 4096, counting._square_pair_weight_sum),
-        (cyclic, 32768, counting._square_pair_weight_sum),  # past the gather ceiling
-        (rank3, 1024, counting._gather_pair_weight_sum),
-        (rank3, 4096, counting._square_pair_weight_sum),
+        (make_group([64]), 2, counting._square_pair_counts),  # both about 8 us
+        (make_group([1024]), 16, counting._gather_pair_sums),
+        (make_group([512]), 256, counting._square_pair_counts),
+        (cyclic, 32, counting._gather_pair_sums),
+        (cyclic, 2048, counting._gather_pair_sums),
+        (cyclic, 4096, counting._square_pair_counts),
+        (cyclic, 32768, counting._square_pair_counts),  # past the gather ceiling
+        (rank3, 1024, counting._gather_pair_sums),
+        (rank3, 4096, counting._square_pair_counts),
         # The slower route when the gather's 100 MB of pair sums do not fit.
-        (make_group([400000]), 5000, counting._square_pair_weight_sum),
+        (make_group([400000]), 5000, counting._square_pair_counts),
     ]:
         assert counting.pair_route(g, size) is route
 
@@ -429,7 +475,7 @@ def test_pair_route_refuses_before_allocating():
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        with mock.patch.object(counting, "_square_pair_weight_sum", square):
+        with mock.patch.object(counting, "_square_pair_counts", square):
             for oracle in (sum_closure_count, direct_t3):
                 with pytest.raises(
                     ApxError, match=r"need 16000000000000 bytes by gather, or "

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -24,11 +25,13 @@ from apx import (
 )
 from apx.bounds import GAMMA0, lemma2_check, size_profile
 from apx.fourier import (
+    _orbit_bits,
     character_reduction,
     character_values,
     plancherel_residual,
     random_crosscheck,
 )
+from apx.report import report_json
 
 from conftest import empty, full, index, mask
 from test_counting import random_subset, random_symmetric_subset
@@ -290,3 +293,22 @@ def test_random_crosscheck_small():
     rep2 = random_crosscheck(trials=40, max_order=128, seed=3)
     assert rep2.max_prob_error == rep.max_prob_error
     assert rep2.max_t3_error == rep.max_t3_error
+
+
+@pytest.mark.parametrize("seed, digest", [(7, "a434e855089bc8de"), (11, "df3e4b0755672a47")])
+def test_crosscheck_report_bytes_are_pinned(seed, digest):
+    # The default cross-check, byte for byte: the same groups, sets and errors.
+    report = report_json(random_crosscheck(seed=seed))
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == digest
+
+
+def test_orbit_bits_match_one_random_call_per_orbit():
+    for seed in range(40):
+        loop, block = random.Random(seed), random.Random(seed)
+        for _ in range(seed % 3):  # start on both words of a pair
+            loop.random(), block.random()
+        for k in (0, 1, 2, 3, 5, 31, 32, 33, 64, 257):
+            expected = [loop.random() < 0.5 for _ in range(k)]
+            bits = _orbit_bits(block, k)
+            assert bits.dtype == bool and bits.tolist() == expected, (seed, k)
+            assert block.getstate() == loop.getstate(), (seed, k)

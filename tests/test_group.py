@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apx import ApxError, enumerate_abelian_groups, make_group
+from apx import ApxError, SubsetMask, dft_indicator, enumerate_abelian_groups, make_group
 from apx.group import (
     _sum_kernel,
     double_table,
@@ -140,6 +140,35 @@ def test_tables_match_scalar_ops():
             assert int(dt[a]) == add(g, a, a)
             for b in range(g.order):
                 assert int(sums[a, b]) == add(g, a, b)
+
+
+@pytest.mark.parametrize("moduli", [(7,), (8,), (3, 5), (2, 2, 3), (4, 1, 6)])
+def test_factors_of_one_change_no_table_pair_sum_or_spectrum(moduli):
+    # Z_1 changes no index, so a 1 inserted at any position must leave the
+    # tables, the pair sums and the spectrum exactly as they were.
+    g = make_group(moduli)
+    x = np.arange(g.order)
+    s = SubsetMask(g, random.Random(g.order).getrandbits(g.order))
+    for k in range(len(moduli) + 1):
+        h = make_group(moduli[:k] + (1,) + moduli[k:])
+        for table in (neg_table, double_table):
+            assert np.array_equal(table(h), table(g)), (h, table.__name__)
+        for got, want in zip(_sum_kernel(h), _sum_kernel(g)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(pair_sums(h, x, x), pair_sums(g, x, x))
+        assert np.array_equal(dft_indicator(SubsetMask(h, s.bits)), dft_indicator(s))
+
+
+@pytest.mark.parametrize("moduli", [(1,), (1, 1)])
+def test_trivial_group_tables_and_spectrum(moduli):
+    g = make_group(moduli)
+    zero = np.zeros(1, dtype=np.int64)
+    for table in (neg_table, double_table):
+        assert np.array_equal(table(g), zero)
+    assert [k.tolist() for k in _sum_kernel(g)] == [[0], [0]]
+    assert pair_sums(g, zero, zero).tolist() == [[0]]
+    assert dft_indicator(SubsetMask(g, 1)).tolist() == [1]
+    assert dft_indicator(SubsetMask(g, 0)).tolist() == [0]
 
 
 def test_scaling_tables_build_no_large_temporaries():
