@@ -20,7 +20,6 @@ from .counting import (
     SubsetMask,
     cayley_triangles_direct,
     cayley_triangles_formula,
-    decode,
     direct_prob,
     direct_t3,
     prob_from_s0,
@@ -131,9 +130,9 @@ def _run_compute(args, cfg: RunConfig) -> dict:
     if args.gamma is not None and not args.structure:
         raise ValueError("--gamma needs --structure")
     group = parse_group(args.group)
-    # One decode, one pair-sum pass (s.pairs) and one spectrum serve every
-    # quantity of S below.
-    s = decode(_parse_set(group, args.set))
+    # S keeps its membership, elements and pair-sum pass (s.pairs), so they
+    # and one spectrum serve every quantity of S below.
+    s = _parse_set(group, args.set)
     if s.size == 0:
         raise ValueError("the set must be non-empty")
     n, d = group.order, s.size

@@ -31,9 +31,34 @@ from .group import (
 )
 
 
+class _kept:
+    """A method made an attribute on first use and kept in the instance dict.
+
+    functools.cached_property does the same, but before Python 3.12 it takes
+    a lock on each first use. A mask fills three, once per search candidate:
+    on CPython 3.11 (2-CPU VM) the lock made an extremal_search candidate
+    on Z_40 cost 20.4 us against 18.2 us.
+    """
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SubsetMask:
-    """A subset of a group as a bitmask over element indices."""
+    """A subset of a group as a bitmask over element indices.
+
+    group and bits are its identity. Its 0/1 membership, its ascending
+    element indices and its pair-sum pass are made on first use and kept,
+    so every oracle here and in the spectral module that is asked about
+    one mask decodes it and pair-sums it once.
+    """
 
     group: GroupSpec
     bits: int
@@ -55,11 +80,39 @@ class SubsetMask:
                 group._check_index(i)  # raises at the first bad index
         memb = np.zeros(n, dtype=np.uint8)
         memb[np.fromiter(indices, dtype=np.int64, count=len(indices))] = 1
-        packed = np.packbits(memb, bitorder="little")  # decode's inverse
-        return cls(group, int.from_bytes(packed.tobytes(), "little"))
+        return cls._from_membership(group, memb)
+
+    @classmethod
+    def _from_membership(cls, group: GroupSpec, memb: np.ndarray) -> "SubsetMask":
+        """The set with this uint8 0/1 membership, which it keeps as its own."""
+        packed = np.packbits(memb, bitorder="little")  # the inverse of memb below
+        s = cls(group, int.from_bytes(packed.tobytes(), "little"))
+        memb.setflags(write=False)
+        s.__dict__["memb"] = memb  # where _kept keeps it
+        return s
+
+    @_kept
+    def memb(self) -> np.ndarray:
+        """Read-only uint8 membership, 1 at each element of the set."""
+        n = self.group.order
+        packed = np.frombuffer(self.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+        memb = np.unpackbits(packed, count=n, bitorder="little")
+        memb.setflags(write=False)
+        return memb
+
+    @_kept
+    def elems(self) -> np.ndarray:
+        """The element indices, ascending."""
+        return self.memb.nonzero()[0]
+
+    @_kept
+    def pairs(self) -> "PairSums":
+        """The pair-sum pass, by the route pair_route picks before the set is decoded."""
+        route = pair_route(self.group, self.size)
+        return route(self.group, self.elems)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(decode(self).elems.tolist())
+        return tuple(self.elems.tolist())
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.group.order and (self.bits >> i) & 1 == 1
@@ -71,79 +124,26 @@ class SubsetMask:
     @property
     def is_symmetric(self) -> bool:
         """True when S = -S."""
-        return decode(self).is_symmetric
+        negs = neg_table(self.group)[self.elems]
+        return bool(np.count_nonzero(self.memb[negs]) == self.size)  # cheaper than .all()
 
     def with_zero(self) -> "SubsetMask":
-        return SubsetMask(self.group, self.bits | 1)
-
-    @property
-    def label(self) -> str:
-        """Sorted index notation, e.g. "{1,2,4}"."""
-        return decode(self).label
-
-
-class DecodedSet:
-    """A set read off its mask once: its 0/1 membership and element indices.
-
-    Every oracle here and in the spectral module takes one in place of a
-    SubsetMask, so a caller that asks several of them about one set decodes
-    it once, and makes its pair-sum pass once.
-    """
-
-    __slots__ = ("group", "memb", "elems", "_pairs")
-
-    def __init__(self, group: GroupSpec, memb: np.ndarray, elems: np.ndarray | None = None):
-        self.group = group
-        self.memb = memb  # uint8, 1 at each element of the set
-        self.elems = memb.nonzero()[0] if elems is None else elems  # ascending
-        self._pairs = None
-
-    @property
-    def size(self) -> int:
-        return self.elems.size
-
-    @property
-    def contains_zero(self) -> bool:
-        return bool(self.memb[0])
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True when S = -S."""
-        return bool(self.memb[neg_table(self.group)[self.elems]].all())
+        """S union {0}, built from this set's membership."""
+        if self.contains_zero:
+            return self
+        memb = self.memb.copy()
+        memb[0] = 1
+        return SubsetMask._from_membership(self.group, memb)
 
     @property
     def label(self) -> str:
         """Sorted index notation, e.g. "{1,2,4}"."""
         return set_label(self.elems.tolist())
 
-    def with_zero(self) -> "DecodedSet":
-        """S union {0}, built from this decode."""
-        if self.contains_zero:
-            return self
-        memb = self.memb.copy()
-        memb[0] = 1
-        return DecodedSet(self.group, memb, np.concatenate(([0], self.elems)))
-
-    @property
-    def pairs(self) -> "PairSums":
-        """The set's pair-sum pass, by the route pair_route picks; made once."""
-        if self._pairs is None:
-            self._pairs = pair_route(self.group, self.size)(self.group, self.elems)
-        return self._pairs
-
 
 def set_label(indices) -> str:
     """The label of the set with these ascending element indices, e.g. "{1,2,4}"."""
     return "{" + ",".join(map(str, indices)) + "}"
-
-
-def decode(s: SubsetMask | DecodedSet) -> DecodedSet:
-    """s read off its mask; a DecodedSet is returned as it is."""
-    if isinstance(s, DecodedSet):
-        return s
-    n = s.group.order
-    packed = np.frombuffer(s.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
-    return DecodedSet(s.group, np.unpackbits(packed, count=n, bitorder="little"))
 
 
 # Largest input polynomial the square route squares: 2^23 bits, about 3 s
@@ -248,29 +248,21 @@ def pair_route(group: GroupSpec, size: int):
     return _gather_pair_sums
 
 
-def _pair_sums_of(s: SubsetMask | DecodedSet) -> tuple[DecodedSet, PairSums]:
-    """s decoded and its pair-sum pass; pair_route refuses before a mask is decoded."""
-    pair_route(s.group, s.size)
-    s = decode(s)
-    return s, s.pairs
-
-
-def sum_closure_count(s: SubsetMask | DecodedSet) -> int:
+def sum_closure_count(s: SubsetMask) -> int:
     """#{(x, y) in S^2 : x + y in S}, the numerator of direct_prob."""
     if s.size == 0:
         return 0
-    s, pairs = _pair_sums_of(s)
-    return pairs.total(s.elems)
+    return s.pairs.total(s.elems)
 
 
-def direct_prob(s: SubsetMask | DecodedSet) -> Fraction:
+def direct_prob(s: SubsetMask) -> Fraction:
     """Exact sum-closure probability #{(x,y) in S^2 : x+y in S} / |S|^2."""
     if s.size == 0:
         raise EmptySetError("sum-closure probability needs a non-empty set")
     return Fraction(sum_closure_count(s), s.size * s.size)
 
 
-def direct_t3(s: SubsetMask | DecodedSet) -> int:
+def direct_t3(s: SubsetMask) -> int:
     """Count pairs (x, step) with x, x+step, x+2*step all in S.
 
     The step 0 pairs (degenerate progressions) are included, so the full
@@ -281,7 +273,7 @@ def direct_t3(s: SubsetMask | DecodedSet) -> int:
     """
     if s.size == 0:
         return 0
-    s, pairs = _pair_sums_of(s)
+    pairs = s.pairs  # refused, when over budget, before the kernel is built
     embed, reduce = _sum_kernel(s.group)
     return pairs.total(reduce[2 * embed[s.elems]])
 
@@ -296,15 +288,12 @@ _BLOCK_BYTES = 1 << 20
 _MAX_CAYLEY_WORDS = 1 << 29
 
 
-def _connection_set(s: SubsetMask | DecodedSet) -> tuple[DecodedSet, np.ndarray]:
-    """(S decoded, -S as element indices), once S is checked to be 0-free and symmetric."""
+def _require_connection_set(s: SubsetMask) -> None:
+    """Raise InvalidConnectionSetError unless S is 0-free and symmetric."""
     if s.contains_zero:
         raise InvalidConnectionSetError("connection set must not contain 0")
-    s = decode(s)
-    negs = neg_table(s.group)[s.elems]
-    if np.count_nonzero(s.memb[negs]) < s.size:  # cheaper than .all() on small sets
+    if not s.is_symmetric:
         raise InvalidConnectionSetError("connection set must be symmetric")
-    return s, negs
 
 
 def require_cayley(group: GroupSpec, size: int) -> None:
@@ -333,7 +322,7 @@ def _common_neighbours(rows: np.ndarray, lo: int, ends: np.ndarray) -> int:
     return int(np.bitwise_count(block).sum())
 
 
-def cayley_triangles_direct(s: SubsetMask | DecodedSet) -> int:
+def cayley_triangles_direct(s: SubsetMask) -> int:
     """Triangle count of the Cayley graph on G with connection set S.
 
     Counts the closed 3-walks of the actual graph and divides by 6; never
@@ -348,13 +337,13 @@ def cayley_triangles_direct(s: SubsetMask | DecodedSet) -> int:
     walks only the steps a < -a, twice, since (u, u + a) is the edge
     (u + a, u) of step -a read backwards, and each involution a = -a once.
     """
-    s, negs = _connection_set(s)
-    elems = s.elems
-    if elems.size == 0:
+    if s.size == 0:
         return 0
     g = s.group
     n = g.order
-    require_cayley(g, elems.size)
+    require_cayley(g, s.size)  # before any table of the group is built
+    _require_connection_set(s)
+    elems = s.elems
     words = -(-n // 64)
     width = 64 * words
     step = max(1, _BLOCK_BYTES // (8 * words * max(elems.size, 8)))
@@ -368,6 +357,7 @@ def cayley_triangles_direct(s: SubsetMask | DecodedSet) -> int:
     if step >= n:  # one block, whose neighbour lists are still at hand
         closed_walks = _common_neighbours(rows, 0, nbrs)
     else:
+        negs = neg_table(g)[elems]
         twice, once = elems[elems < negs], elems[elems == negs]
         closed_walks = 0
         for lo in range(0, n, step):
@@ -379,9 +369,9 @@ def cayley_triangles_direct(s: SubsetMask | DecodedSet) -> int:
     return closed_walks // 6
 
 
-def cayley_triangles_formula(s: SubsetMask | DecodedSet) -> int:
+def cayley_triangles_formula(s: SubsetMask) -> int:
     """Triangle count via (1/6) * n * |S|^2 * Prob[S]; must be an integer."""
-    s, _ = _connection_set(s)
+    _require_connection_set(s)
     if s.size == 0:
         return 0
     count = Fraction(s.group.order * s.size * s.size, 6) * direct_prob(s)
@@ -390,14 +380,14 @@ def cayley_triangles_formula(s: SubsetMask | DecodedSet) -> int:
     return int(count)
 
 
-def prob_from_s0(s: SubsetMask | DecodedSet) -> Fraction:
+def prob_from_s0(s: SubsetMask) -> Fraction:
     """Prob[S] recovered from S0 = S union {0}.
 
     Uses the exact identity
     Prob[S] = (|S0|^2/|S|^2) * (Prob[S0] - (3|S|+1)/|S0|^2)
     valid for symmetric 0-free S; Prob[S0] comes from direct_prob.
     """
-    s, _ = _connection_set(s)
+    _require_connection_set(s)
     if s.size == 0:
         raise EmptySetError("the S0 identity needs a non-empty set")
     s0 = s.with_zero()

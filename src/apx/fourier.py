@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import GAMMA0, induction_bound
-from .counting import DecodedSet, SubsetMask, decode, direct_prob, direct_t3
+from .counting import SubsetMask, direct_prob, direct_t3
 from .errors import (
     EmptySetError,
     MuUndefinedError,
@@ -43,10 +43,10 @@ from .util import as_fraction
 _TIE_TOLERANCE = 1e-12
 
 
-def dft_indicator(s: SubsetMask | DecodedSet) -> np.ndarray:
+def dft_indicator(s: SubsetMask) -> np.ndarray:
     """Read-only Fourier coefficients of 1_S, in the shared mixed-radix order."""
     shape = tuple(reversed(_factors(s.group)))  # a Z_1 axis would only cost time
-    shaped = decode(s).memb.astype(np.complex128).reshape(shape)
+    shaped = s.memb.astype(np.complex128).reshape(shape)
     coeffs = np.fft.fftn(shaped, norm="forward").reshape(-1)
     coeffs.setflags(write=False)
     return coeffs
@@ -71,20 +71,19 @@ def t3_from_coeffs(group: GroupSpec, coeffs: np.ndarray) -> float:
     return float(np.real(np.sum(coeffs * coeffs * paired)) * n * n)
 
 
-def prob_spectral(s: SubsetMask | DecodedSet) -> float:
+def prob_spectral(s: SubsetMask) -> float:
     """Sum-closure probability as (n^2/d^2) * sum of coefficient cubes.
 
     Valid for symmetric sets, where every coefficient is real.
     """
     if s.size == 0:
         raise EmptySetError("spectral probability needs a non-empty set")
-    s = decode(s)
     if not s.is_symmetric:
         raise SymmetryRequiredError("spectral probability needs S = -S")
     return prob_from_coeffs(dft_indicator(s), s.size)
 
 
-def t3_spectral(s: SubsetMask | DecodedSet) -> float:
+def t3_spectral(s: SubsetMask) -> float:
     """Progression count as n^2 * sum_m coeff[m]^2 * coeff[-2m]."""
     if s.size == 0:
         raise EmptySetError("spectral progression count needs a non-empty set")
@@ -147,12 +146,12 @@ def _bucket(phases: np.ndarray, g: int, modulus: int) -> WeightSeq:
     return WeightSeq(modulus=modulus, weights=dict(weights), total=len(phases))
 
 
-def residue_weights(s: SubsetMask | DecodedSet, m0: int) -> WeightSeq:
+def residue_weights(s: SubsetMask, m0: int) -> WeightSeq:
     """Bucket S by the phase j/n of the m0 character, reduced to Z_{n/g}."""
     if m0 == 0:
         raise ValueError("residue weights need a nonzero frequency")
     g = character_reduction(s.group, m0)
-    phases = character_values(s.group, m0)[decode(s).elems]
+    phases = character_values(s.group, m0)[s.elems]
     return _bucket(phases, g, s.group.order // g)
 
 
@@ -182,7 +181,7 @@ class StructureReport:
 
 
 def structure_report(
-    s: SubsetMask | DecodedSet, gamma, gamma0=GAMMA0, coeffs: np.ndarray | None = None
+    s: SubsetMask, gamma, gamma0=GAMMA0, coeffs: np.ndarray | None = None
 ) -> StructureReport:
     """Run the spectral concentration diagnostics on a symmetric set.
 
@@ -194,7 +193,6 @@ def structure_report(
     induction bound uses the constant floor gamma0. coeffs, when given, is
     dft_indicator(s), which a caller that has it need not transform again.
     """
-    s = decode(s)
     if not s.is_symmetric:
         raise SymmetryRequiredError("structure diagnostics need S = -S")
     n = s.group.order
@@ -306,7 +304,7 @@ def _orbit_bits(rng: random.Random, k: int) -> np.ndarray:
     return words[::2] < 1 << 31
 
 
-def _random_symmetric_subset(rng: random.Random, group: GroupSpec) -> DecodedSet:
+def _random_symmetric_subset(rng: random.Random, group: GroupSpec) -> SubsetMask:
     fixed, pairs = orbit_split(group)
     while True:
         # One draw per orbit, fixed points first; a draw below 1/2 keeps it.
@@ -315,7 +313,7 @@ def _random_symmetric_subset(rng: random.Random, group: GroupSpec) -> DecodedSet
         memb[fixed[keep[: len(fixed)]]] = 1
         memb[pairs[keep[len(fixed) :]]] = 1
         if memb.any():
-            return DecodedSet(group, memb)
+            return SubsetMask._from_membership(group, memb)
 
 
 def random_crosscheck(

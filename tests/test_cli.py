@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from apx import cli, counting, search
+from apx import SubsetMask, cli, counting, direct_prob, direct_t3, make_group, prob_from_s0, search
 from apx.cli import main
 from apx.fourier import random_crosscheck
 from apx.report import report_json
@@ -488,8 +488,20 @@ def set_work(monkeypatch):
     ],
 )
 def test_compute_decodes_pairs_and_transforms_its_set_once(argv, passes, ffts, set_work, capsys):
+    # --set builds the membership, which the mask keeps, so nothing decodes.
     assert main(["compute", *argv]) == 0
-    assert set_work == {"decode": 1, "pass": passes, "fft": ffts}
+    assert set_work == {"decode": 0, "pass": passes, "fft": ffts}
+
+
+def test_oracles_decode_and_pair_a_mask_once(set_work):
+    # A mask built from its bits decodes on first use; S0 = S + {0} is built
+    # from that membership, with a pass of its own.
+    g = make_group([15])
+    s = SubsetMask(g, sum(1 << x for x in (1, 4, 6, 9, 11, 14)))
+    for _ in range(2):
+        assert (direct_prob(s), direct_t3(s), s.is_symmetric) == (0, 18, True)
+    assert prob_from_s0(s) == 0 and s.label == "{1,4,6,9,11,14}"
+    assert set_work == {"decode": 1, "pass": 2, "fft": 0}
 
 
 def test_crosscheck_trial_pairs_and_transforms_its_set_once(set_work):

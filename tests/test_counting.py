@@ -225,13 +225,10 @@ def test_crossvalidation_exhaustive_small_orders():
                     continue
                 triangles = cayley_triangles_direct(s)
                 assert triangles == cayley_triangles_formula(s)
-                # Read off one decode, the oracles give what the mask gives.
-                decoded = counting.decode(s)
-                assert cayley_triangles_direct(decoded) == triangles
-                assert cayley_triangles_formula(decoded) == triangles
                 if s.size:
-                    assert prob_from_s0(s) == direct_prob(s)
-                    assert prob_from_s0(decoded) == direct_prob(decoded) == direct_prob(s)
+                    assert prob_from_s0(s) == direct_prob(s) == direct_prob(SubsetMask(g, bits))
+                # Asked again, s answers from the caches it now keeps.
+                assert cayley_triangles_direct(s) == triangles
 
 
 def test_prob_bounds_and_subgroups():
@@ -371,7 +368,7 @@ def route_counts(route, s):
     addition table gives them.
     """
     g = s.group
-    elems = counting.decode(s).elems
+    elems = s.elems
     pairs = route(g, elems)
     sums = add_table(g)[np.ix_(elems, elems)].reshape(-1)
     expected = np.bincount(sums, minlength=g.order) if pairs.dense else np.sort(sums)
@@ -398,10 +395,9 @@ def test_pair_sum_oracles_match_table_references(g, bits):
     assert (sum_closure_count(s), direct_t3(s)) == expected
     for route in ROUTES:
         assert route_counts(route, s) == expected
-    # A decoded set answers both oracles from the one pass it keeps.
-    decoded = counting.decode(s)
-    assert (sum_closure_count(decoded), direct_t3(decoded)) == expected
-    assert decoded.pairs is decoded.pairs
+    # The mask answers both oracles again from the one pass it keeps.
+    assert s.pairs is s.pairs
+    assert (sum_closure_count(s), direct_t3(s)) == expected
 
 
 def bit_indices(bits):
@@ -425,10 +421,27 @@ def test_indices_and_label_match_the_set_bits(g, bits):
     expected = bit_indices(s.bits)
     assert s.indices() == expected
     assert s.label == "{" + ",".join(map(str, expected)) + "}"
-    decoded = counting.decode(s)
-    assert tuple(decoded.elems.tolist()) == expected and decoded.size == s.size
-    assert decoded.label == s.label
-    assert (decoded.contains_zero, decoded.is_symmetric) == (s.contains_zero, s.is_symmetric)
+    assert tuple(s.elems.tolist()) == expected and s.elems.size == s.size
+    assert s.memb.nonzero()[0].tolist() == list(expected) and s.memb.size == g.order
+    assert s.contains_zero == (0 in expected)
+    assert s.is_symmetric == all(neg(g, x) in s for x in expected)
+
+
+def test_a_mask_with_filled_caches_equals_a_fresh_one():
+    g = make_group([3, 5])
+    for build in (
+        lambda: SubsetMask.from_indices(g, [1, 2, 13, 14]),  # fills the membership
+        lambda: SubsetMask(g, 0b110000000000110).with_zero(),  # built from S's
+        lambda: SubsetMask(g, 0b110000000000111),
+    ):
+        s = build()
+        direct_prob(s), direct_t3(s), s.is_symmetric, s.label  # fill every cache
+        fresh = SubsetMask(g, s.bits)
+        assert "pairs" in vars(s) and "memb" not in vars(fresh)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert (s.size, s.label, s.indices()) == (fresh.size, fresh.label, fresh.indices())
+    with pytest.raises(ValueError, match="read-only"):
+        s.memb[0] = 0  # a kept membership cannot drift from the bits
 
 
 def test_pair_routes_at_the_digit_width_boundary():
@@ -486,7 +499,7 @@ def test_pair_route_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1
-    assert peak < 16 << 20  # the decoded mask, far below either route
+    assert peak < 16 << 20  # far below either route; nothing is decoded
     with pytest.raises(ApxError, match="bytes by gather"):
         counting.pair_route(make_group([2] * 16), 1)  # a 3^16-cell reduce table
     # Within the byte ceiling, but the square would take minutes.
@@ -613,7 +626,7 @@ def test_cayley_direct_refuses_over_budget_sets_fast():
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1
-    assert peak < 1 << 20  # the decoded masks only
+    assert peak < 1 << 20  # no table of either group
 
 
 def test_cayley_direct_memory_stays_far_below_a_dense_matrix():
