@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .bounds import GAMMA0, closure_bound, lemma2_scan, size_profile
 from .counting import (
     SubsetMask,
@@ -23,6 +25,7 @@ from .counting import (
     direct_prob,
     direct_t3,
     prob_from_s0,
+    require_cayley,
 )
 from .errors import ApxError
 from .fourier import (
@@ -32,7 +35,7 @@ from .fourier import (
     structure_report,
     t3_from_coeffs,
 )
-from .group import parse_group
+from .group import _MAX_TABLE_BYTES, _require, parse_group
 from .lemma1 import bruteforce_scan
 from .report import cases_csv, frac_str, lemma1_csv, lemma2_csv, report_json
 from .search import extremal_search, verify_gls, verify_theorem1, verify_theorem2
@@ -99,24 +102,26 @@ def _resolve_config(args, max_order: int | None = None) -> RunConfig:
 
 
 def _parse_set(group, text: str) -> SubsetMask:
-    """Comma-separated element indices and inclusive lo..hi ranges, e.g. "0,5..9"."""
-    indices = []
+    """Comma-separated element indices and inclusive lo..hi ranges, e.g. "0,5..9".
+
+    A range is written into the membership as one slice, never spelled out.
+    """
+    _require(group, "membership", (group.order, "bytes", _MAX_TABLE_BYTES))
+    memb = np.zeros(group.order, dtype=np.uint8)
     for part in text.split(","):
+        if not part.strip():
+            continue
         lo, dots, hi = part.partition("..")
         try:
-            if not dots:
-                if part.strip():
-                    indices.append(int(part))
-                continue
-            lo, hi = int(lo), int(hi)
+            lo, hi = int(lo), int(hi if dots else lo)
         except ValueError as exc:
             raise ValueError(f"bad set notation {text!r}: {exc}") from None
         if lo > hi:
             raise ValueError(f"bad set notation {text!r}: empty range {part.strip()!r}")
-        group._check_index(lo)  # before a huge range is spelled out
+        group._check_index(lo)
         group._check_index(hi)
-        indices.extend(range(lo, hi + 1))
-    return SubsetMask.from_indices(group, indices)
+        memb[lo : hi + 1] = 1
+    return SubsetMask._from_membership(group, memb)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +141,11 @@ def _run_compute(args, cfg: RunConfig) -> dict:
     if s.size == 0:
         raise ValueError("the set must be non-empty")
     n, d = group.order, s.size
+    s.pairs  # over-budget kernels are refused before the spectrum is taken
     symmetric = s.is_symmetric
     cayley_valid = symmetric and not s.contains_zero
+    if cayley_valid:
+        require_cayley(group, d)
     odd = n % 2 == 1
     coeffs = dft_indicator(s) if symmetric or odd else None
     profile = size_profile(n, d)

@@ -21,12 +21,14 @@ import numpy as np
 
 from .errors import ApxError, EmptySetError, InvalidConnectionSetError
 from .group import (
+    _MAX_CAYLEY_WORDS,
     _MAX_CUBE_BYTES,
+    _MAX_SQUARE_BITS,
     _MAX_TABLE_BYTES,
     GroupSpec,
+    _coordinate_scaling_table,
+    _require,
     _sum_kernel,
-    double_table,
-    neg_table,
     pair_sums,
 )
 
@@ -54,10 +56,10 @@ class _kept:
 class SubsetMask:
     """A subset of a group as a bitmask over element indices.
 
-    group and bits are its identity. Its 0/1 membership, its ascending
-    element indices and its pair-sum pass are made on first use and kept,
-    so every oracle here and in the spectral module that is asked about
-    one mask decodes it and pair-sums it once.
+    group and bits are its identity. Its membership, elements, pair-sum
+    pass and symmetry are made on first use and kept, so every oracle here
+    and in the spectral module asked about one mask decodes, pair-sums and
+    negates it once.
     """
 
     group: GroupSpec
@@ -121,10 +123,10 @@ class SubsetMask:
     def contains_zero(self) -> bool:
         return self.bits & 1 == 1
 
-    @property
+    @_kept
     def is_symmetric(self) -> bool:
         """True when S = -S."""
-        negs = neg_table(self.group)[self.elems]
+        negs = _coordinate_scaling_table(self.group, -1)[self.elems]
         return bool(np.count_nonzero(self.memb[negs]) == self.size)  # cheaper than .all()
 
     def with_zero(self) -> "SubsetMask":
@@ -145,10 +147,6 @@ def set_label(indices) -> str:
     """The label of the set with these ascending element indices, e.g. "{1,2,4}"."""
     return "{" + ",".join(map(str, indices)) + "}"
 
-
-# Largest input polynomial the square route squares: 2^23 bits, about 3 s
-# of CPython's Karatsuba multiplication on a 2-CPU machine.
-_MAX_SQUARE_BITS = 1 << 23
 
 # Digits of the square route for counts below 2^8, 2^16 and 2^32.
 _DIGITS = tuple(np.dtype(f"<u{width}") for width in (1, 2, 4))
@@ -228,16 +226,16 @@ def pair_route(group: GroupSpec, size: int):
     # An upper bound, with room to spare, on the digits, their bytes and
     # poly, the square and its bytes, and the counts (n <= span).
     square_bytes = table_bytes + width * (3 * span + 2 * cells) + 8 * span + 16 * cells
-    gather_fits = max(table_bytes, gather_bytes) <= _MAX_TABLE_BYTES
-    square_fits = square_bytes <= _MAX_TABLE_BYTES and bits <= _MAX_SQUARE_BITS
+    what = f"pass over the pair sums of a {size}-element set"
+    gather = ((max(table_bytes, gather_bytes), "bytes by gather", _MAX_TABLE_BYTES),)
+    square = (
+        (square_bytes, "bytes by square", _MAX_TABLE_BYTES),
+        (bits, "bits to square", _MAX_SQUARE_BITS),
+    )
+    gather_fits = _require(group, what, *gather, refuse=False)
+    square_fits = _require(group, what, *square, refuse=False)
     if not (gather_fits or square_fits):
-        raise ApxError(
-            f"the pair sums of a {size}-element set of group {group.label} (order "
-            f"{group.order}) need {max(table_bytes, gather_bytes)} bytes by gather, "
-            f"or {square_bytes} bytes and a {bits}-bit square by Kronecker "
-            f"substitution; over the {_MAX_TABLE_BYTES}-byte ceiling or the "
-            f"{_MAX_SQUARE_BITS}-bit square budget"
-        )
+        _require(group, what, *gather, *square)
     # Costs in gathered pair sums, about 8 ns each, fitted to timings of both
     # routes (README scale notes): the gather takes size^2 plus 200 for its
     # fixed overhead, the square (digit bytes)^1.585 / 10, the exponent of
@@ -282,11 +280,6 @@ def direct_t3(s: SubsetMask) -> int:
 # cayley_triangles_direct.
 _BLOCK_BYTES = 1 << 20
 
-# Most 64-bit word ANDs cayley_triangles_direct may do, n * |S| * ceil(n / 64).
-# The densest set the kernel took when it read an n x n addition table, the
-# whole of Z_2896 but 0, needs 3.9e8 (under 1 s on a 2-CPU VM).
-_MAX_CAYLEY_WORDS = 1 << 29
-
 
 def _require_connection_set(s: SubsetMask) -> None:
     """Raise InvalidConnectionSetError unless S is 0-free and symmetric."""
@@ -297,21 +290,13 @@ def _require_connection_set(s: SubsetMask) -> None:
 
 
 def require_cayley(group: GroupSpec, size: int) -> None:
-    """Raise ApxError when cayley_triangles_direct of a size-element set is over budget.
-
-    The n x ceil(n/64) uint64 neighbour rows count against _MAX_TABLE_BYTES,
-    the n * size * ceil(n/64) word ANDs against _MAX_CAYLEY_WORDS.
-    """
-    n = group.order
-    words = -(-n // 64)
-    row_bytes, ands = 8 * n * words, n * size * words
-    if row_bytes > _MAX_TABLE_BYTES or ands > _MAX_CAYLEY_WORDS:
-        raise ApxError(
-            f"the Cayley triangles of a {size}-element set of group {group.label} "
-            f"(order {n}) need {row_bytes} bytes of neighbour rows and {ands} word "
-            f"ANDs; over the {_MAX_TABLE_BYTES}-byte ceiling or the "
-            f"{_MAX_CAYLEY_WORDS}-word budget"
-        )
+    """Raise ApxError when cayley_triangles_direct of a size-element set is over budget."""
+    n, words = group.order, -(-group.order // 64)
+    _require(
+        group, f"Cayley triangle count of a {size}-element set",
+        (8 * n * words, "bytes of neighbour rows", _MAX_TABLE_BYTES),
+        (n * size * words, "word ANDs", _MAX_CAYLEY_WORDS),
+    )
 
 
 def _common_neighbours(rows: np.ndarray, lo: int, ends: np.ndarray) -> int:
@@ -357,7 +342,7 @@ def cayley_triangles_direct(s: SubsetMask) -> int:
     if step >= n:  # one block, whose neighbour lists are still at hand
         closed_walks = _common_neighbours(rows, 0, nbrs)
     else:
-        negs = neg_table(g)[elems]
+        negs = _coordinate_scaling_table(g, -1)[elems]
         twice, once = elems[elems < negs], elems[elems == negs]
         closed_walks = 0
         for lo in range(0, n, step):
@@ -398,13 +383,7 @@ def prob_from_s0(s: SubsetMask) -> Fraction:
 
 def require_cube(group: GroupSpec, orbits: int) -> None:
     """Raise ApxError when a cube over this many orbits passes _MAX_CUBE_BYTES."""
-    nbytes = 2 << orbits
-    if nbytes > _MAX_CUBE_BYTES:
-        raise ApxError(
-            f"the subset cube of group {group.label} (order {group.order}) has "
-            f"2^{orbits} cells and needs {nbytes} bytes ({nbytes / 2**30:.1f} GiB), "
-            f"over the {_MAX_CUBE_BYTES}-byte ceiling"
-        )
+    _require(group, f"subset cube over {orbits} orbits", (2 << orbits, "bytes", _MAX_CUBE_BYTES))
 
 
 def _cube(group: GroupSpec, orbits, triples) -> np.ndarray:
@@ -417,7 +396,6 @@ def _cube(group: GroupSpec, orbits, triples) -> np.ndarray:
     (Yates 1937). Cells are uint16: two elements of a triple fix the third,
     so a cell is at most m^2 for the m elements the orbits cover.
     """
-    require_cube(group, len(orbits))
     covered = sum(len(orbit) for orbit in orbits)
     if covered * covered >= 1 << 16:
         raise ValueError(f"orbits cover {covered} elements; uint16 cells need < 256")
@@ -437,10 +415,12 @@ def _cube(group: GroupSpec, orbits, triples) -> np.ndarray:
 
 def t3_cube(group: GroupSpec) -> np.ndarray:
     """direct_t3 of every subset at once: cube[s.bits] == direct_t3(s)."""
+    require_cube(group, group.order)
     x = np.arange(group.order)
+    sums = pair_sums(group, x, x)  # its diagonal holds 2x
     return _cube(
         group, [(e,) for e in range(group.order)],
-        (x[:, None], pair_sums(group, x, x), pair_sums(group, x, double_table(group))),
+        (x[:, None], sums, pair_sums(group, x, sums.diagonal())),
     )
 
 
@@ -451,5 +431,6 @@ def closure_cube(group: GroupSpec, orbits) -> np.ndarray:
     union of the orbits whose bit is set in m (bit i for orbits[i]);
     elements in no orbit are in no set.
     """
+    require_cube(group, len(orbits))
     x = np.arange(group.order)
     return _cube(group, orbits, (x[:, None], x[None, :], pair_sums(group, x, x)))

@@ -29,10 +29,12 @@ from .errors import (
     SymmetryRequiredError,
 )
 from .group import (
+    _MAX_FFT_BYTES,
     GroupSpec,
     _coordinate_scaling_table,
     _coordinate_sum,
     _factors,
+    _require,
     make_group,
     orbit_split,
 )
@@ -45,6 +47,7 @@ _TIE_TOLERANCE = 1e-12
 
 def dft_indicator(s: SubsetMask) -> np.ndarray:
     """Read-only Fourier coefficients of 1_S, in the shared mixed-radix order."""
+    _require(s.group, "spectrum", (16 * s.group.order, "bytes", _MAX_FFT_BYTES))
     shape = tuple(reversed(_factors(s.group)))  # a Z_1 axis would only cost time
     shaped = s.memb.astype(np.complex128).reshape(shape)
     coeffs = np.fft.fftn(shaped, norm="forward").reshape(-1)
@@ -66,7 +69,7 @@ def prob_from_coeffs(coeffs: np.ndarray, size: int) -> float:
 
 def t3_from_coeffs(group: GroupSpec, coeffs: np.ndarray) -> float:
     """n^2 * sum_m coeff[m]^2 * coeff[-2m], from the spectrum of a set."""
-    paired = coeffs[_coordinate_scaling_table(group, lambda m: -2)]  # coeff[-2m]
+    paired = coeffs[_coordinate_scaling_table(group, -2)]  # coeff[-2m]
     n = group.order
     return float(np.real(np.sum(coeffs * coeffs * paired)) * n * n)
 

@@ -7,9 +7,10 @@ with the first factor fastest:
 
 The same index space is used for subset bitmasks and for spectral
 coefficients, so everything downstream agrees on element numbering.
-Arithmetic goes through lookup tables built lazily by the module-level
-table functions. Pair sums of two index arrays go through a carry-free
-embedding (pair_sums) that is O(n) in size; no n x n table is kept.
+Pair sums go through a carry-free embedding (pair_sums) and x -> kx
+through an index map (_coordinate_scaling_table), both O(n) and built
+when asked for; no n x n table is kept. Every table and kernel asks
+_require, with its estimates, before it allocates anything.
 """
 
 from __future__ import annotations
@@ -23,16 +24,52 @@ import numpy as np
 
 from .errors import ApxError
 
+# The ceilings. Each is checked by _require, which states every estimate.
+
 # Fail fast on absurd presentations before any table gets allocated.
 _MAX_ORDER = 1 << 62
 
-# Largest table a kernel builds, 64 MiB: pair_sums holds its reduce table
-# and its result to it, as counting does its neighbour rows.
+# Largest table a kernel builds, 64 MiB: pair sums and their reduce table, the
+# square route's buffers, the Cayley rows, and the int64 index map (n <= 2^23).
 _MAX_TABLE_BYTES = 1 << 26
 
 # Largest subset cube the suite kernels build: 2-byte cells, 32 MiB, so at
 # most 24 orbits (2^24 subsets).
 _MAX_CUBE_BYTES = 1 << 25
+
+# Largest spectrum, 16-byte cells: every order the index map admits transforms.
+_MAX_FFT_BYTES = 1 << 27
+
+# Largest input polynomial the square route of pair_route squares: 2^23
+# bits, about 3 s of CPython's Karatsuba multiplication on a 2-CPU machine.
+_MAX_SQUARE_BITS = 1 << 23
+
+# Most 64-bit word ANDs cayley_triangles_direct may do, n * |S| * ceil(n / 64).
+# The densest set the kernel took when it read an n x n addition table, the
+# whole of Z_2896 but 0, needs 3.9e8 (under 1 s on a 2-CPU VM).
+_MAX_CAYLEY_WORDS = 1 << 29
+
+# The work ceiling of extremal_search, in mask bits decoded. Each candidate
+# costs one exact oracle call, which decodes an n-bit mask: on a 2-CPU VM
+# about 28 us plus 3.9 ns per bit, so a call is charged max(n, 2^13) bits.
+# 2^33 bits is about 30 s of calls: 2^20 candidates up to order 8192, and
+# fewer above it.
+_SEARCH_CALL_BITS = 1 << 13
+_MAX_SEARCH_BITS = 1 << 33
+
+
+def _require(group: GroupSpec, what: str, *costs, refuse: bool = True) -> bool:
+    """Whether every (estimate, unit, ceiling) of costs is within its ceiling.
+
+    When one is not and refuse is set, raise ApxError stating every estimate.
+    """
+    fits = all(estimate <= ceiling for estimate, _, ceiling in costs)
+    if fits or not refuse:
+        return fits
+    raise ApxError(
+        f"the {what} of group {group.label} (order {group.order}) needs "
+        + " and ".join(f"{e} {unit} (ceiling {c})" for e, unit, c in costs)
+    )
 
 
 @dataclass(frozen=True)
@@ -149,7 +186,7 @@ def enumerate_abelian_groups(max_order: int) -> list[GroupSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Lookup tables. All arrays are cached per group and marked read-only.
+# Lookup tables, all marked read-only.
 # ---------------------------------------------------------------------------
 
 
@@ -174,14 +211,14 @@ def _factors(group: GroupSpec) -> tuple[int, ...]:
     return tuple(m for m in group.moduli if m > 1) or (1,)
 
 
-def _coordinate_scaling_table(group: GroupSpec, factor_fn) -> np.ndarray:
+def _coordinate_scaling_table(group: GroupSpec, factor: int) -> np.ndarray:
+    """Read-only int64 table[x] = factor * x, from outer sums of per-factor digits."""
+    _require(group, f"index map x -> {factor}x", (8 * group.order, "bytes", _MAX_TABLE_BYTES))
     digits = []
     stride = 1
     for m in _factors(group):
-        digit = np.arange(m, dtype=np.int64)
-        digit *= factor_fn(m)
-        digit %= m
-        digit *= stride
+        digit = np.arange(0, factor * stride * m, factor * stride, dtype=np.int64)
+        digit %= stride * m  # stride * (factor * x mod m), in place
         digits.append(digit)
         stride *= m
     table = _coordinate_sum(digits)
@@ -189,32 +226,9 @@ def _coordinate_scaling_table(group: GroupSpec, factor_fn) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=256)
-def neg_table(group: GroupSpec) -> np.ndarray:
-    return _coordinate_scaling_table(group, lambda m: m - 1)
-
-
-@lru_cache(maxsize=256)
-def double_table(group: GroupSpec) -> np.ndarray:
-    return _coordinate_scaling_table(group, lambda m: 2)
-
-
 def require_pair_sums(group: GroupSpec, rows: int, cols: int) -> None:
-    """Raise ApxError when pair_sums of rows x cols elements passes _MAX_TABLE_BYTES.
-
-    Both the rows x cols int32 result and the group's reduce table (see
-    _sum_kernel) count against the ceiling.
-    """
-    for nbytes, what in (
-        (4 * math.prod(2 * m - 1 for m in group.moduli), "pair-sum table"),
-        (4 * rows * cols, f"{rows} x {cols} pair sums"),
-    ):
-        if nbytes > _MAX_TABLE_BYTES:
-            raise ApxError(
-                f"the {what} of group {group.label} (order {group.order}) "
-                f"needs {nbytes} bytes ({nbytes / 2**30:.1f} GiB), over the "
-                f"{_MAX_TABLE_BYTES}-byte ceiling"
-            )
+    """Raise ApxError when rows x cols int32 pair sums pass _MAX_TABLE_BYTES."""
+    _require(group, f"{rows} x {cols} pair sums", (4 * rows * cols, "bytes", _MAX_TABLE_BYTES))
 
 
 @lru_cache(maxsize=256)
@@ -229,6 +243,8 @@ def _sum_kernel(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     sums, last factor outermost, so a flat index is a mixed-radix index
     with the first factor fastest.
     """
+    cells = math.prod(2 * m - 1 for m in group.moduli)
+    _require(group, "pair-sum table", (4 * cells, "bytes", _MAX_TABLE_BYTES))
     embed = reduce = None
     stride = pad = 1
     for m in _factors(group):
@@ -253,7 +269,7 @@ def _sum_kernel(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
 def pair_sums(group: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a| x |b| int32 array of the element indices a[i] + b[j].
 
-    O(|a| * |b|) work and memory, checked by require_pair_sums first.
+    O(|a| * |b|) work and memory, checked before the kernel is built.
     """
     require_pair_sums(group, len(a), len(b))
     embed, reduce = _sum_kernel(group)
@@ -281,6 +297,6 @@ def orbit_split(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     k x 2 int array, both in ascending order of x, which callers that draw
     random bits per orbit rely on.
     """
-    nt = neg_table(group)
+    nt = _coordinate_scaling_table(group, -1)
     low = np.flatnonzero(np.arange(group.order) < nt)
     return two_torsion(group), np.column_stack((low, nt[low]))

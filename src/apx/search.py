@@ -16,6 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import group as _ceilings  # read at call time, so a patched ceiling holds
 from .bounds import (
     GAMMA0,
     BoundValue,
@@ -33,9 +34,10 @@ from .counting import (
     set_label,
     t3_cube,
 )
-from .errors import ApxError, OddOrderRequiredError
+from .errors import OddOrderRequiredError
 from .group import (
     GroupSpec,
+    _require,
     enumerate_abelian_groups,
     orbit_split,
     two_torsion,
@@ -63,15 +65,6 @@ def _symmetric_bits(fixed: np.ndarray, pairs: np.ndarray, d: int):
                 for x, y in pair_sel:
                     bits |= (1 << x) | (1 << y)
                 yield bits
-
-
-# The work ceiling of extremal_search, in mask bits decoded. Each candidate
-# costs one exact oracle call, which decodes an n-bit mask: on a 2-CPU VM
-# about 28 us plus 3.9 ns per bit, so a call is charged max(n, 2^13) bits.
-# 2^33 bits is about 30 s of calls: 2^20 candidates up to order 8192, and
-# fewer above it.
-_SEARCH_CALL_BITS = 1 << 13
-_MAX_SEARCH_BITS = 1 << 33
 
 
 @dataclass
@@ -133,13 +126,9 @@ def extremal_search(
 
     else:
         raise ValueError(f"objective must be 'prob' or 't3density', got {objective!r}")
-    bits = count * max(n, _SEARCH_CALL_BITS)
-    if bits > _MAX_SEARCH_BITS:
-        raise ApxError(
-            f"the {objective} search of group {group.label} (order {n}) at size"
-            f" {d} has {count} candidates of max({n}, {_SEARCH_CALL_BITS}) bits"
-            f" each, {bits} bits to decode, over the {_MAX_SEARCH_BITS}-bit ceiling"
-        )
+    bits = count * max(n, _ceilings._SEARCH_CALL_BITS)
+    what = f"{objective} search over {count} candidates at size {d}"
+    _require(group, what, (bits, "bits to decode", _ceilings._MAX_SEARCH_BITS))
     pair_route(group, d)
     if objective == "prob":
         # A size below 2 takes no pair, so it builds no O(n) orbit table.

@@ -4,7 +4,6 @@ from functools import lru_cache
 import numpy as np
 
 from apx import SubsetMask, make_group
-from apx.group import double_table, neg_table
 
 
 def mask(moduli, indices):
@@ -98,7 +97,7 @@ def dense_cayley_triangles(s):
     g = s.group
     memb = np.zeros(g.order, dtype=np.int64)
     memb[list(s.indices())] = 1
-    adj = memb[add_table(g)][neg_table(g)]
+    adj = memb[add_table(g)][[neg(g, a) for a in range(g.order)]]
     closed_walks = int(((adj @ adj) * adj).sum())
     assert closed_walks % 6 == 0
     return closed_walks // 6
@@ -127,7 +126,7 @@ def table_t3(s):
     elems, memb = _decode(s)
     rows = add_table(g)[elems]
     at_step = memb[rows]
-    at_double = memb[rows[:, double_table(g)]]
+    at_double = memb[rows[:, add_table(g).diagonal()]]  # x + 2 step
     return int((at_step & at_double).sum(dtype=np.int64))
 
 

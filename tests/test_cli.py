@@ -1,7 +1,12 @@
 import argparse
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +130,71 @@ def test_compute_set_ranges(capsys):
         assert code == 2 and out == "" and message in err, text
 
 
+def test_compute_refuses_a_huge_range_before_building_it(capsys):
+    # A membership of Z_10^8 takes 100 MB, over the 64 MiB table ceiling.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "compute", "--group", "100000000", "--set", "0..99999999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "membership of group 100000000 (order 100000000) needs 100000000 bytes" in err
+    assert peak < 1 << 20
+
+
+# Each argv of the refusal grid runs in a child with this address-space
+# limit, set in the child alone, and must peak below _GRID_PEAK bytes.
+_GRID_LIMIT = 2 << 30
+_GRID_PEAK = 150 << 20
+_Z2_20, _Z2_16 = ",".join(["2"] * 20), ",".join(["2"] * 16)
+_REFUSAL_GRID = [
+    *(
+        [command, "--group", "100000000", "--set", elements, *gamma]
+        for command, gamma in (("compute", ()), ("structure", ("--gamma", "1/2")))
+        for elements in ("1", "1,99999999", "0..99999999")
+    ),
+    *(
+        argv
+        for group in (_Z2_20, _Z2_16)
+        for argv in (
+            ["compute", "--group", group, "--set", "1,2,3"],
+            ["structure", "--group", group, "--set", "1,2,3", "--gamma", "1/2"],
+            ["search", "--group", group, "--size", "1"],
+        )
+    ),
+]
+
+
+def _limit_child():
+    resource.setrlimit(resource.RLIMIT_AS, (_GRID_LIMIT, _GRID_LIMIT))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))  # a child that spins is killed, not awaited
+
+
+def _run_limited(argv):
+    """(exit code, stderr, peak RSS in bytes) of apx argv in a limited child."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from apx.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+        preexec_fn=_limit_child,
+    )
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, err, usage.ru_maxrss * 1024  # ru_maxrss is in KiB
+
+
+@pytest.mark.parametrize("argv", _REFUSAL_GRID, ids=" ".join)
+def test_refusal_grid_exits_cleanly_within_its_peak(argv):
+    code, err, peak = _run_limited(argv)
+    assert code in (0, 2) and "Traceback" not in err, err
+    assert code == 0 or "apx: error: the " in err
+    assert peak < _GRID_PEAK, peak
+
+
 def test_search_past_the_candidate_ceiling_exits_2(capsys):
     for argv, count in [
         (("--group", "2,2,2,2,2", "--size", "16"), 601080390),  # C(32, 16)
@@ -135,7 +205,7 @@ def test_search_past_the_candidate_ceiling_exits_2(capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "search", *argv)
         assert time.perf_counter() - start < 1
-        assert code == 2 and out == "" and f"has {count} candidates" in err
+        assert code == 2 and out == "" and f"over {count} candidates" in err
 
 
 def test_search_serves_large_groups_at_small_sizes(capsys):

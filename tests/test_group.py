@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from apx import ApxError, SubsetMask, dft_indicator, enumerate_abelian_groups, make_group
 from apx.group import (
+    _MAX_FFT_BYTES,
+    _MAX_TABLE_BYTES,
+    _coordinate_scaling_table,
     _sum_kernel,
-    double_table,
-    neg_table,
     orbit_split,
     pair_sums,
     parse_group,
@@ -131,13 +132,13 @@ def test_tables_match_scalar_ops():
         g = make_group(moduli)
         x = np.arange(g.order)
         sums = pair_sums(g, x, x)
-        nt = neg_table(g)
-        dt = double_table(g)
+        nt, dt, mt = (_coordinate_scaling_table(g, k) for k in (-1, 2, -2))
         assert np.array_equal(sums, add_table(g))  # the tests' dense reference
         assert np.array_equal(pair_sums(g, x, nt), sums[:, nt])
         for a in range(g.order):
             assert int(nt[a]) == neg(g, a)
             assert int(dt[a]) == add(g, a, a)
+            assert int(mt[a]) == neg(g, add(g, a, a))
             for b in range(g.order):
                 assert int(sums[a, b]) == add(g, a, b)
 
@@ -151,8 +152,9 @@ def test_factors_of_one_change_no_table_pair_sum_or_spectrum(moduli):
     s = SubsetMask(g, random.Random(g.order).getrandbits(g.order))
     for k in range(len(moduli) + 1):
         h = make_group(moduli[:k] + (1,) + moduli[k:])
-        for table in (neg_table, double_table):
-            assert np.array_equal(table(h), table(g)), (h, table.__name__)
+        for factor in (-1, 2):
+            scaled = _coordinate_scaling_table(h, factor)
+            assert np.array_equal(scaled, _coordinate_scaling_table(g, factor)), (h, factor)
         for got, want in zip(_sum_kernel(h), _sum_kernel(g)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(pair_sums(h, x, x), pair_sums(g, x, x))
@@ -163,8 +165,8 @@ def test_factors_of_one_change_no_table_pair_sum_or_spectrum(moduli):
 def test_trivial_group_tables_and_spectrum(moduli):
     g = make_group(moduli)
     zero = np.zeros(1, dtype=np.int64)
-    for table in (neg_table, double_table):
-        assert np.array_equal(table(g), zero)
+    for factor in (-1, 2):
+        assert np.array_equal(_coordinate_scaling_table(g, factor), zero)
     assert [k.tolist() for k in _sum_kernel(g)] == [[0], [0]]
     assert pair_sums(g, zero, zero).tolist() == [[0]]
     assert dft_indicator(SubsetMask(g, 1)).tolist() == [1]
@@ -178,14 +180,14 @@ def test_scaling_tables_build_no_large_temporaries():
         ([1000000], 8 << 20), ([1000, 1000], 8 << 20), ([2] * 20, 12 << 20)
     ]:
         g = make_group(moduli)
-        for table in (neg_table, double_table):
+        for factor in (-1, 2):
             tracemalloc.start()
             try:
-                table.__wrapped__(g)  # past the cache, so the table is built
+                _coordinate_scaling_table(g, factor)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < table_bytes + (1 << 20), (moduli, table.__name__, peak)
+            assert peak < table_bytes + (1 << 20), (moduli, factor, peak)
 
 
 def test_units_and_dilations():
@@ -206,7 +208,8 @@ def test_units_and_dilations():
 
 def test_tables_are_readonly():
     g = make_group([6])
-    for table in (neg_table(g), double_table(g), *_sum_kernel(g)):
+    scaled = (_coordinate_scaling_table(g, factor) for factor in (-1, 2))
+    for table in (*scaled, *_sum_kernel(g)):
         with pytest.raises(ValueError):
             table[0] = 1
         assert np.all(table >= 0)
@@ -253,6 +256,26 @@ def test_pair_sums_refuse_oversized_inputs():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_index_map_and_spectrum_each_refuses_before_allocating():
+    # Z_10^8: an 800 MB index map and a 1.6 GB spectrum.
+    big = make_group([10**8])
+    tracemalloc.start()
+    try:
+        for scale in (-1, -2):
+            with pytest.raises(ApxError, match=rf"x -> {scale}x .* needs 800000000 bytes"):
+                _coordinate_scaling_table(big, scale)
+        with pytest.raises(ApxError, match="spectrum .* needs 1600000000 bytes"):
+            dft_indicator(SubsetMask(big, 0b10))
+        with pytest.raises(ApxError, match="index map"):
+            orbit_split(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # Every order whose index map fits, cyclic orders up to 2^23, transforms.
+    assert 16 * (_MAX_TABLE_BYTES // 8) <= _MAX_FFT_BYTES
 
 
 def test_orbit_split_matches_scalar_negation():

@@ -25,7 +25,7 @@ from apx import (
     verify_theorem1,
     verify_theorem2,
 )
-from apx import search
+from apx import group, search
 from apx.counting import closure_cube, require_cube, t3_cube
 from apx.group import orbit_split
 from apx.report import report_json
@@ -114,11 +114,11 @@ def test_search_candidate_count_is_exact():
         for objective in objectives:
             for d in range(1, g.order + 1):
                 count = extremal_search(g, d, objective).enumerated
-                bits = count * search._SEARCH_CALL_BITS
-                with mock.patch.object(search, "_MAX_SEARCH_BITS", bits):
+                bits = count * group._SEARCH_CALL_BITS
+                with mock.patch.object(group, "_MAX_SEARCH_BITS", bits):
                     extremal_search(g, d, objective)
-                with mock.patch.object(search, "_MAX_SEARCH_BITS", bits - 1):
-                    message = f"has {count} candidates .* {bits} bits"
+                with mock.patch.object(group, "_MAX_SEARCH_BITS", bits - 1):
+                    message = f"over {count} candidates .* {bits} bits"
                     with pytest.raises(ApxError, match=message):
                         extremal_search(g, d, objective)
 
