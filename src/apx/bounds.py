@@ -250,16 +250,8 @@ def lemma2_check(q: int, alpha, k: int, eta, gamma0=GAMMA0) -> Lemma2Point:
     q_prime, alpha_prime, lhs = induction_bound((q + alpha) / (k * eta), eta, gamma0)
     rhs = closure_bound(q, alpha, gamma0).value
     return Lemma2Point(
-        q=q,
-        alpha=alpha,
-        k=k,
-        eta=eta,
-        q_prime=q_prime,
-        alpha_prime=alpha_prime,
-        lhs=lhs,
-        rhs=rhs,
-        holds_le=lhs <= rhs,
-        strict=lhs < rhs,
+        q=q, alpha=alpha, k=k, eta=eta, q_prime=q_prime, alpha_prime=alpha_prime,
+        lhs=lhs, rhs=rhs, holds_le=lhs <= rhs, strict=lhs < rhs,
     )
 
 
@@ -279,13 +271,6 @@ def _alpha_grid(alpha_steps: int) -> list[Fraction]:
     return [Fraction(i, alpha_steps - 1) for i in range(alpha_steps)]
 
 
-def _eta_grid(eta_steps: int) -> list[Fraction]:
-    # eta_steps uniform points in (3/4, 1]: 3/4 excluded, 1 included.
-    return [
-        Fraction(3, 4) + Fraction(j, 4 * eta_steps) for j in range(1, eta_steps + 1)
-    ]
-
-
 # Anything float-scored above this margin below zero gets exact adjudication;
 # double rounding error on these O(1) expressions is far below 1e-9.
 _SCREEN_MARGIN = -1e-9
@@ -295,9 +280,14 @@ _SCREEN_MARGIN = -1e-9
 _SCREEN_POINTS = 1 << 17
 
 
-def _lemma2_sign(
-    num: int, den: int, e: int, e_den: int, gamma0: Fraction, rhs: Fraction
-):
+def _step_sign(e: int, e_den: int, m_num: int, m_den: int, rhs: Fraction) -> int:
+    """Exact sign of eta^2 m + 3 (1 - eta)^2 - rhs at eta = e/e_den, m = m_num/m_den."""
+    lhs_num = e * e * m_num + 3 * (e_den - e) * (e_den - e) * m_den
+    diff = lhs_num * rhs.denominator - rhs.numerator * e_den * e_den * m_den
+    return (diff > 0) - (diff < 0)
+
+
+def _lemma2_sign(num: int, den: int, e: int, e_den: int, gamma0: Fraction, rhs: Fraction):
     """Exact sign of lhs - rhs for lemma2_check at ratio num/den, eta = e/e_den.
 
     The arithmetic of lemma2_check in Python ints: with q', r = divmod(num,
@@ -306,37 +296,44 @@ def _lemma2_sign(
     """
     qp, r = divmod(num, den)
     m_num, m_den, _ = _closure_max(qp, r, den, gamma0)
-    # lhs = (e^2 m + 3 (e_den - e)^2) / e_den^2 with m = m_num / m_den.
-    lhs_num = e * e * m_num + 3 * (e_den - e) * (e_den - e) * m_den
-    diff = lhs_num * rhs.denominator - rhs.numerator * e_den * e_den * m_den
-    return (diff > 0) - (diff < 0), qp, r
+    return _step_sign(e, e_den, m_num, m_den, rhs), qp, r
+
+
+def _envelope_rows(floor: Fraction, eta_steps: int, gamma0: Fraction) -> list[int]:
+    """The e of each grid row eta = e / (4 eta_steps) in (3/4, 1] with U(eta) >= floor."""
+    top, e_den = max(1, gamma0), 4 * eta_steps
+    return [e for e in range(3 * eta_steps + 1, e_den + 1)
+            if _step_sign(e, e_den, top.numerator, top.denominator, floor) >= 0]
 
 
 def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
     """Scan all (alpha, k, eta) for one q.
 
-    Grid values are exact; a float pre-screen skips points that are safely
-    below the ceiling, and every point at or near the boundary is decided
-    exactly by _lemma2_sign, so all reported verdicts are exact. An equality
-    reuses the row's exact rhs as its lhs; a violation is rebuilt by
-    lemma2_check, the reference oracle.
+    Each ratio (q + alpha) / (k eta) is at least 1, and at q' >= 1 both
+    algebraic branches are at most 1 (term1 = 1 - a'/q' + a'^2/q'^2; term2
+    is convex in a', with end values (q'^2 + 3)/(q' + 1)^2 and 1). So lhs
+    <= U(eta) = eta^2 max(1, gamma0) + 3 (1 - eta)^2, and a row with U(eta)
+    below every rhs of this q holds strictly: it is never screened. As rhs
+    >= gamma0 >= 3/4, the lemma holds on the continuum for all q >= 2, alpha
+    in [0, 1] and k when eta < (3 + sqrt(4 gamma0 - 3)) / 4 (~0.973 at the
+    default). On the other rows a float screen skips points safely below the
+    ceiling, and _lemma2_sign decides each point near it exactly. Equalities
+    reuse the row's rhs as lhs; lemma2_check, the oracle, rebuilds violations.
     """
     gamma0 = as_fraction(gamma0)
     alphas = _alpha_grid(alpha_steps)
-    etas = _eta_grid(eta_steps)
-    rhs = [closure_bound(q, alpha, gamma0).value for alpha in alphas]
-    rhs_f = np.array([float(v) for v in rhs])[:, None, None]
     # alpha = i / a_den and eta = e / e_den, so (q + alpha) / (k * eta) is
     # num / den with num = (q * a_den + i) * e_den and den = a_den * k * e.
-    a_den = alpha_steps - 1
-    e_den = 4 * eta_steps
-    e_grid = range(3 * eta_steps + 1, 4 * eta_steps + 1)
+    a_den, e_den = alpha_steps - 1, 4 * eta_steps
+    rhs = [Fraction(*_closure_max(q, i, a_den, gamma0)[:2]) for i in range(alpha_steps)]
+    rhs_f = np.array([float(v) for v in rhs])[:, None, None]
+    e_grid = _envelope_rows(min(rhs), eta_steps, gamma0)
+    etas = {e: Fraction(e, e_den) for e in e_grid}
     e_num = np.array(e_grid, dtype=np.int64)
     den = a_den * np.arange(1, q + 1, dtype=np.int64)[:, None] * e_num
-    rows = max(1, _SCREEN_POINTS // den.size)
-    violations = []
-    equalities = []
-    for first in range(0, alpha_steps, rows):
+    rows = max(1, _SCREEN_POINTS // max(1, den.size))
+    violations, equalities = [], []
+    for first in range(0, alpha_steps if e_grid else 0, rows):
         block = np.arange(first, min(first + rows, alpha_steps), dtype=np.int64)
         num = ((q * a_den + block) * e_den)[:, None, None]
         q_prime = num // den
@@ -344,24 +341,28 @@ def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
         m_f = np.maximum(np.maximum(term1, term2), float(gamma0))
         lhs_f = _induction_step(e_num / e_den, m_f) - rhs_f[first : first + rows]
         # np.nonzero walks the block in (alpha, k, eta) order.
-        for i, k0, j in zip(*np.nonzero(lhs_f >= _SCREEN_MARGIN)):
-            i, k, e = first + int(i), int(k0) + 1, e_grid[j]
-            sign, qp, r = _lemma2_sign(
-                (q * a_den + i) * e_den, a_den * k * e, e, e_den, gamma0, rhs[i]
-            )
-            if sign > 0:
-                point = lemma2_check(q, alphas[i], k, etas[j], gamma0)
-                if point.holds_le:
-                    raise ApxError("internal: lemma2 kernel and oracle disagree")
-                violations.append(point)
-            elif sign == 0:
-                equalities.append(
-                    Lemma2Point(
-                        q=q, alpha=alphas[i], k=k, eta=etas[j], q_prime=qp,
-                        alpha_prime=Fraction(r, a_den * k * e),
-                        lhs=rhs[i], rhs=rhs[i], holds_le=True, strict=False,
-                    )
+        for i, k0, j in zip(*(a.tolist() for a in np.nonzero(lhs_f >= _SCREEN_MARGIN))):
+            i, k, e = first + i, k0 + 1, e_grid[j]
+            if k == 1 and e == e_den:
+                # The identity line: the ratio is q + alpha, so lhs = rhs; at
+                # alpha = 1 too, as M(q + 1, 0) = max(1, gamma0) = M(q, 1).
+                qp, alpha_prime = q + i // a_den, alphas[i % a_den]
+            else:
+                sign, qp, r = _lemma2_sign(
+                    (q * a_den + i) * e_den, a_den * k * e, e, e_den, gamma0, rhs[i]
                 )
+                if sign > 0:
+                    point = lemma2_check(q, alphas[i], k, etas[e], gamma0)
+                    if point.holds_le:
+                        raise ApxError("internal: lemma2 kernel and oracle disagree")
+                    violations.append(point)
+                if sign:
+                    continue
+                alpha_prime = Fraction(r, a_den * k * e)
+            equalities.append(Lemma2Point(
+                q=q, alpha=alphas[i], k=k, eta=etas[e], q_prime=qp, alpha_prime=alpha_prime,
+                lhs=rhs[i], rhs=rhs[i], holds_le=True, strict=False,
+            ))
     return alpha_steps * q * eta_steps, violations, equalities
 
 
@@ -385,16 +386,11 @@ def lemma2_scan(
         float(gamma0)  # the float screen reads it
     except OverflowError:
         raise ValueError("gamma0 is past the float range of the lemma2 screen") from None
-    worker = partial(
-        _scan_one_q, alpha_steps=alpha_steps, eta_steps=eta_steps, gamma0=gamma0
-    )
+    worker = partial(_scan_one_q, alpha_steps=alpha_steps, eta_steps=eta_steps, gamma0=gamma0)
     chunks = pmap(worker, range(2, q_max + 1), threads=threads)
     # The chunks come in q order, each already in (alpha, k, eta) order.
     return Lemma2ScanReport(
-        q_max=q_max,
-        alpha_steps=alpha_steps,
-        eta_steps=eta_steps,
-        gamma0=gamma0,
+        q_max=q_max, alpha_steps=alpha_steps, eta_steps=eta_steps, gamma0=gamma0,
         points=sum(c[0] for c in chunks),
         violations=tuple(p for c in chunks for p in c[1]),
         equalities=tuple(p for c in chunks for p in c[2]),

@@ -26,9 +26,9 @@ from .group import (
     _MAX_SQUARE_BITS,
     _MAX_TABLE_BYTES,
     GroupSpec,
-    _coordinate_scaling_table,
     _require,
     _sum_kernel,
+    negate,
     pair_sums,
 )
 
@@ -126,7 +126,7 @@ class SubsetMask:
     @_kept
     def is_symmetric(self) -> bool:
         """True when S = -S."""
-        negs = _coordinate_scaling_table(self.group, -1)[self.elems]
+        negs = negate(self.group, self.elems)
         return bool(np.count_nonzero(self.memb[negs]) == self.size)  # cheaper than .all()
 
     def with_zero(self) -> "SubsetMask":
@@ -342,7 +342,7 @@ def cayley_triangles_direct(s: SubsetMask) -> int:
     if step >= n:  # one block, whose neighbour lists are still at hand
         closed_walks = _common_neighbours(rows, 0, nbrs)
     else:
-        negs = _coordinate_scaling_table(g, -1)[elems]
+        negs = negate(g, elems)
         twice, once = elems[elems < negs], elems[elems == negs]
         closed_walks = 0
         for lo in range(0, n, step):

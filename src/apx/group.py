@@ -290,6 +290,21 @@ def two_torsion(group: GroupSpec) -> np.ndarray:
     return np.array(points)
 
 
+def orbit_counts(group: GroupSpec) -> tuple[int, int]:
+    """(fixed points, pairs) of x -> -x: 2^e and (n - 2^e) / 2 for e even moduli."""
+    fixed = 1 << sum(m % 2 == 0 for m in group.moduli)
+    return fixed, (group.order - fixed) // 2
+
+
+def negate(group: GroupSpec, elems: np.ndarray) -> np.ndarray:
+    """-x for each index x in elems, in O(|elems| * rank) with no O(n) table."""
+    negs, stride = -elems, 1  # -x is the sum of stride * m over the digits x_i > 0, less x
+    for m in group.moduli:
+        negs += stride * m * (elems % (stride * m) >= stride)  # x_i > 0
+        stride *= m
+    return negs
+
+
 def orbit_split(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """Split indices into involution-fixed points and {x, -x} pairs.
 

@@ -36,7 +36,7 @@ def _key(key) -> str:
     raise TypeError(f"cannot use a {type(key).__name__} as a JSON object key")
 
 
-def _write_members(members: list, out: list[str]) -> None:
+def _write_members(members: list, out: list[str], spelled: dict) -> None:
     """Write (spelled key, value) pairs as an object sorted by key."""
     members.sort(key=itemgetter(0))
     out.append("{")
@@ -47,7 +47,7 @@ def _write_members(members: list, out: list[str]) -> None:
             out.append(",")
         out.append(json.dumps(key))
         out.append(":")
-        _write_json(value, out)
+        _write_json(value, out, spelled)
     out.append("}")
 
 
@@ -65,9 +65,24 @@ def _field_keys(cls) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _write_json(obj, out: list[str]) -> None:
-    """Append the canonical JSON of a report object to out."""
-    if obj is None:
+def _spell_fraction(f: Fraction, spelled: dict) -> str:
+    """The JSON of f, memoized by id: the writer reads only values the report holds."""
+    text = spelled.get(id(f))
+    if text is None:
+        text = spelled[id(f)] = f'"{f.numerator}/{f.denominator}"'
+    return text
+
+
+# Leaves by exact type; bool, numpy scalars and subclasses take the isinstance chain.
+_EXACT = {str: lambda s, _: json.dumps(s), int: lambda i, _: str(i), Fraction: _spell_fraction}
+
+
+def _write_json(obj, out: list[str], spelled: dict) -> None:
+    """Append the canonical JSON of a report object to out; spelled is a memo."""
+    spell = _EXACT.get(type(obj))
+    if spell is not None:
+        out.append(spell(obj, spelled))
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -78,7 +93,7 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, Fraction):
-        out.append(f'"{obj.numerator}/{obj.denominator}"')
+        out.append(_spell_fraction(obj, spelled))
     elif isinstance(obj, (float, np.floating)):
         obj = float(obj)
         if obj != obj or obj in (float("inf"), float("-inf")):
@@ -87,19 +102,24 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, (GroupSpec, SubsetMask)):
         out.append(json.dumps(obj.label))
     elif isinstance(obj, dict):
-        _write_members([(_key(k), v) for k, v in obj.items()], out)
+        _write_members([(_key(k), v) for k, v in obj.items()], out, spelled)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out.append("{")
         for name, prefix in _field_keys(type(obj)):
             out.append(prefix)
-            _write_json(getattr(obj, name), out)
+            value = getattr(obj, name)
+            spell = _EXACT.get(type(value))
+            if spell is None:
+                _write_json(value, out, spelled)
+            else:
+                out.append(spell(value, spelled))
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
-            _write_json(item, out)
+            _write_json(item, out, spelled)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -108,7 +128,7 @@ def _write_json(obj, out: list[str]) -> None:
 def report_json(report) -> str:
     """Canonical JSON of a report: sorted keys, stable number format."""
     out: list[str] = []
-    _write_json(report, out)
+    _write_json(report, out, {})
     return "".join(out)
 
 

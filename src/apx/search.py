@@ -39,6 +39,7 @@ from .group import (
     GroupSpec,
     _require,
     enumerate_abelian_groups,
+    orbit_counts,
     orbit_split,
     two_torsion,
 )
@@ -104,9 +105,7 @@ def extremal_search(
     profile = size_profile(n, d)
     if objective == "prob":
         bound = closure_bound(profile.q, profile.alpha, gamma0)
-        # x = -x has 2 solutions per even factor and 1 per odd one.
-        fixed_count = 1 << sum(m % 2 == 0 for m in group.moduli)
-        pair_count = (n - fixed_count) // 2
+        fixed_count, pair_count = orbit_counts(group)
         count = sum(
             comb(fixed_count, k) * comb(pair_count, (d - k) // 2)
             for k in range(d & 1, d + 1, 2)
@@ -338,7 +337,7 @@ def verify_theorem2(
     """Exhaustively check max Prob[S] <= closure_bound for every (group, d)."""
     groups, cases = _sweep(
         partial(_theorem2_group_cases, gamma0=gamma0), max_order, threads,
-        lambda g: len(_symmetric_orbits(g)),
+        lambda g: sum(orbit_counts(g)),
     )
     return Theorem2Report(
         max_order=max_order,
@@ -465,7 +464,7 @@ def verify_gls(max_order: int = 16, threads: int = 1) -> GlsReport:
     """
     groups, cases = _sweep(
         _gls_group_cases, max_order, threads,
-        lambda g: len(_symmetric_orbits(g, zero=False)),
+        lambda g: sum(orbit_counts(g)) - 1,  # all but the orbit of 0
     )
     return GlsReport(
         max_order=max_order,

@@ -23,12 +23,17 @@ from apx import (
 from apx import bounds
 from apx.bounds import (
     _alpha_grid,
-    _eta_grid,
+    _envelope_rows,
     _lemma2_sign,
     _scan_one_q,
     induction_bound,
 )
 from apx.errors import ApxError
+
+
+def _eta_grid(eta_steps):
+    # The scan's eta grid: eta_steps uniform points in (3/4, 1], 1 included.
+    return [Fraction(e, 4 * eta_steps) for e in range(3 * eta_steps + 1, 4 * eta_steps + 1)]
 
 
 def test_size_profile_examples():
@@ -302,6 +307,7 @@ SCAN_GAMMA0S = [
 @example(2, 2, 2, Fraction(0), 1)
 @example(2, 5, 3, Fraction(0), 7)
 @example(6, 9, 6, Fraction(10**12, 10**12 + 1), 1 << 17)
+@example(3, 5, 4, Fraction(3, 2), 1 << 17)  # the envelope reads gamma0, not 1
 def test_scan_one_q_matches_lemma2_check(q, alpha_steps, eta_steps, gamma0, block):
     # Every grid point goes through the oracle. The exact kernel must give
     # the oracle's sign of lhs - rhs, q' and alpha' at each of them, and the
@@ -340,3 +346,39 @@ def test_scan_one_q_rebuilds_violations_with_the_oracle():
     with patch.object(bounds, "_lemma2_sign", always_violated):
         with pytest.raises(ApxError, match="disagree"):
             _scan_one_q(2, 3, 2, GAMMA0)
+
+
+def test_envelope_leaves_few_rows_to_the_screen():
+    # The envelope holds (both algebraic branches are at most 1 at q' >= 1),
+    # and at the benchmark grid it clears most (q, eta) rows: 103 of 969.
+    for q_prime in range(1, 30):
+        for alpha_prime in _alpha_grid(41):
+            assert closure_bound(q_prime, alpha_prime, None).value <= 1
+    screened = 0
+    for q in range(2, 21):
+        floor = min(closure_bound(q, alpha).value for alpha in _alpha_grid(101))
+        screened += len(_envelope_rows(floor, 51, GAMMA0))
+    assert 0 < screened <= 0.15 * 19 * 51
+
+
+@pytest.mark.parametrize("gamma0", [GAMMA0, Fraction(0), Fraction(3, 2)])
+def test_identity_line_is_recorded_without_the_kernel(gamma0):
+    # At k = 1 and eta = 1 the ratio is q + alpha itself, so every such
+    # point is an equality; the scan records it without _lemma2_sign, and
+    # each record must be the oracle's point.
+    q, alpha_steps, eta_steps = 4, 11, 3
+    a_den, e_den = alpha_steps - 1, 4 * eta_steps
+    asked = []
+
+    def recording(num, den, e, *args):
+        asked.append((den, e))
+        return _lemma2_sign(num, den, e, *args)
+
+    with patch.object(bounds, "_lemma2_sign", recording):
+        _, _, equalities = _scan_one_q(q, alpha_steps, eta_steps, gamma0)
+    assert asked and (a_den * e_den, e_den) not in asked
+    line = {p.alpha: p for p in equalities if (p.k, p.eta) == (1, 1)}
+    assert len(line) == alpha_steps
+    for alpha in (Fraction(0), Fraction(3, 10), Fraction(1)):
+        assert line[alpha] == lemma2_check(q, alpha, 1, 1, gamma0)
+    assert (line[1].q_prime, line[1].alpha_prime) == (q + 1, 0)

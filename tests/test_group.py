@@ -13,11 +13,14 @@ from apx.group import (
     _MAX_TABLE_BYTES,
     _coordinate_scaling_table,
     _sum_kernel,
+    negate,
+    orbit_counts,
     orbit_split,
     pair_sums,
     parse_group,
     require_pair_sums,
 )
+from apx.search import _symmetric_orbits
 
 from conftest import add, add_table, dilation_perm, halve, index, neg, units
 
@@ -285,3 +288,38 @@ def test_orbit_split_matches_scalar_negation():
         assert pairs.shape == ((g.order - len(fixed)) // 2, 2)
         assert pairs.tolist() == [[x, neg(g, x)] for x in range(g.order) if x < neg(g, x)]
         assert len(fixed) == 1 << sum(m % 2 == 0 for m in g.moduli)
+
+
+def test_orbit_counts_match_the_orbit_split_to_order_48():
+    # The sweeps size their cubes from the closed form, without the split.
+    for g in enumerate_abelian_groups(48):
+        fixed, pairs = orbit_split(g)
+        assert orbit_counts(g) == (len(fixed), len(pairs))
+        assert sum(orbit_counts(g)) == len(_symmetric_orbits(g))
+        assert sum(orbit_counts(g)) - 1 == len(_symmetric_orbits(g, zero=False))
+
+
+@pytest.mark.parametrize(
+    "moduli", [(1,), (1, 1), (7,), (2, 2, 2), (3, 1, 4), (1, 6, 1, 2), (2, 3, 4, 5), (4, 4, 2, 3)]
+)
+def test_negate_matches_scalar_negation(moduli):
+    g = make_group(moduli)
+    elems = np.arange(g.order)
+    assert negate(g, elems).tolist() == [neg(g, x) for x in range(g.order)]
+    assert negate(g, elems[::-3]).tolist() == [neg(g, x) for x in range(g.order)[::-3]]
+    assert negate(g, elems[:0]).tolist() == []
+
+
+def test_symmetry_test_builds_no_table_of_the_group():
+    g = make_group([1 << 20])
+    s = SubsetMask(g, 0b10 | 1 << (g.order - 1))
+    t = SubsetMask(g, 0b110)
+    s.memb, t.memb  # decode first: only the symmetry test is measured
+    tracemalloc.start()
+    try:
+        assert s.is_symmetric and not t.is_symmetric
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert negate(make_group([10**8]), np.array([0, 1, 5])).tolist() == [0, 10**8 - 1, 10**8 - 5]

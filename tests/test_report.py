@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -69,3 +70,47 @@ def test_lemma_csvs():
     lines2 = lemma2_csv(scan2).strip().split("\n")
     assert lines2[0] == "q,alpha,k,eta,lhs,rhs"
     assert len(lines2) == len(scan2.violations) + 1
+
+
+class _Count(int):
+    def __str__(self):
+        return "not a digit"
+
+
+class _Name(str):
+    def __str__(self):
+        return "not the text"
+
+
+@dataclass
+class _Mixed:
+    flag: bool
+    count: np.int64
+    share: np.float64
+    tally: _Count
+    name: _Name
+    value: Fraction
+    missing: object
+    buckets: dict
+    group: object
+
+
+def test_report_json_spells_every_leaf_type_as_before():
+    # Exact str, int and Fraction leaves are looked up by type; bool, numpy
+    # scalars and subclasses take the isinstance chain. The expected bytes
+    # are those of the writer before the lookup existed.
+    mixed = _Mixed(
+        True, np.int64(-7), np.float64(0.1), _Count(12), _Name('a"b'), Fraction(-3, 9),
+        None, {10: Fraction(1, 2), 2: [False, _Count(3)], -1: {"x": _Name("y")}},
+        make_group([2, 6]),
+    )
+    doc = (
+        '{"buckets":{"-1":{"x":"y"},"10":"1/2","2":[false,3]},"count":-7,"flag":true,'
+        '"group":"2,6","missing":null,"name":"a\\"b","share":0.1,"tally":12,"value":"-1/3"}'
+    )
+    assert report_json(mixed) == doc
+    # A Fraction shared by several records is spelled once and reused.
+    assert report_json([mixed, mixed.value, mixed.value]) == f'[{doc},"-1/3","-1/3"]'
+    for bad in (np.bool_(True), _Mixed(np.bool_(False), *[None] * 8)):
+        with pytest.raises(TypeError, match="bool"):
+            report_json(bad)
