@@ -31,8 +31,6 @@ from .errors import (
 from .group import (
     _MAX_FFT_BYTES,
     GroupSpec,
-    _coordinate_scaling_table,
-    _coordinate_sum,
     _factors,
     _require,
     make_group,
@@ -69,9 +67,12 @@ def prob_from_coeffs(coeffs: np.ndarray, size: int) -> float:
 
 def t3_from_coeffs(group: GroupSpec, coeffs: np.ndarray) -> float:
     """n^2 * sum_m coeff[m]^2 * coeff[-2m], from the spectrum of a set."""
-    paired = coeffs[_coordinate_scaling_table(group, -2)]  # coeff[-2m]
+    shape = tuple(reversed(_factors(group)))  # the axes of dft_indicator
+    paired = coeffs.reshape(shape)
+    for axis, m in enumerate(shape):  # coeff[-2m], one digit at a time
+        paired = paired.take(-2 * np.arange(m) % m, axis=axis)
     n = group.order
-    return float(np.real(np.sum(coeffs * coeffs * paired)) * n * n)
+    return float(np.real(np.sum(coeffs * coeffs * paired.reshape(-1))) * n * n)
 
 
 def prob_spectral(s: SubsetMask) -> float:
@@ -108,13 +109,14 @@ def top_nonzero_coefficient(coeffs: np.ndarray):
     return m0, float(values[m0])
 
 
-def character_values(group: GroupSpec, m0: int) -> np.ndarray:
-    """v(x) with character_m0(x) = e(2*pi*i*v(x)/n), for every element x."""
+def character_values(group: GroupSpec, m0: int, elems: np.ndarray) -> np.ndarray:
+    """v(x) with character_m0(x) = e(2*pi*i*v(x)/n), for each index x in elems."""
     n = group.order
-    v = _coordinate_sum(
-        np.arange(n_i, dtype=np.int64) * (m_i * (n // n_i))
-        for m_i, n_i in zip(group.coords(m0), group.moduli)
-    )
+    v = np.zeros(len(elems), dtype=np.int64)
+    stride = 1
+    for m_i, n_i in zip(group.coords(m0), group.moduli):
+        v += elems // stride % n_i * (m_i * (n // n_i))  # m_i * (n/n_i) * x_i
+        stride *= n_i
     v %= n
     return v
 
@@ -154,7 +156,7 @@ def residue_weights(s: SubsetMask, m0: int) -> WeightSeq:
     if m0 == 0:
         raise ValueError("residue weights need a nonzero frequency")
     g = character_reduction(s.group, m0)
-    phases = character_values(s.group, m0)[s.elems]
+    phases = character_values(s.group, m0, s.elems)
     return _bucket(phases, g, s.group.order // g)
 
 
@@ -221,7 +223,7 @@ def structure_report(
     g = character_reduction(s.group, m0)
     k = n // g
 
-    phases = character_values(s.group, m0)[s.elems]
+    phases = character_values(s.group, m0, s.elems)
     # |centered phase| = min(v, n - v); the arc keeps those at most n/3.
     arc_size = np.count_nonzero(3 * np.minimum(phases, n - phases) <= n)
     weights = _bucket(phases, g, k)

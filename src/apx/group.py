@@ -7,17 +7,18 @@ with the first factor fastest:
 
 The same index space is used for subset bitmasks and for spectral
 coefficients, so everything downstream agrees on element numbering.
-Pair sums go through a carry-free embedding (pair_sums) and x -> kx
-through an index map (_coordinate_scaling_table), both O(n) and built
-when asked for; no n x n table is kept. Every table and kernel asks
-_require, with its estimates, before it allocates anything.
+Pair sums go through a carry-free embedding (pair_sums), built when
+asked for in O(n); no n x n table is kept. Negation (negate) works on
+the digits of the given elements only, with no table of the group.
+Every table and kernel asks _require, with its estimates, before it
+allocates anything.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -30,14 +31,15 @@ from .errors import ApxError
 _MAX_ORDER = 1 << 62
 
 # Largest table a kernel builds, 64 MiB: pair sums and their reduce table, the
-# square route's buffers, the Cayley rows, and the int64 index map (n <= 2^23).
+# square route's buffers, the Cayley rows, and the int64 negation of every
+# element that orbit_split takes (n <= 2^23).
 _MAX_TABLE_BYTES = 1 << 26
 
 # Largest subset cube the suite kernels build: 2-byte cells, 32 MiB, so at
 # most 24 orbits (2^24 subsets).
 _MAX_CUBE_BYTES = 1 << 25
 
-# Largest spectrum, 16-byte cells: every order the index map admits transforms.
+# Largest spectrum, 16-byte cells: every order orbit_split admits transforms.
 _MAX_FFT_BYTES = 1 << 27
 
 # Largest input polynomial the square route of pair_route squares: 2^23
@@ -190,18 +192,6 @@ def enumerate_abelian_groups(max_order: int) -> list[GroupSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_sum(digits) -> np.ndarray:
-    """table[x] = sum_i digits[i][x_i] over the coordinates x_i of every index x.
-
-    digits[i] holds one value per residue of factor i. The factors are
-    taken as outer sums, last factor outermost, so a flat index is a
-    mixed-radix index with the first factor fastest, and no O(n)
-    temporary is built besides the table and the table before the last
-    factor.
-    """
-    return reduce(lambda table, digit: np.add.outer(digit, table).reshape(-1), digits)
-
-
 def _factors(group: GroupSpec) -> tuple[int, ...]:
     """The moduli other than 1, or (1,) for the trivial group.
 
@@ -209,21 +199,6 @@ def _factors(group: GroupSpec) -> tuple[int, ...]:
     padded stride, so the tables and the spectrum skip it.
     """
     return tuple(m for m in group.moduli if m > 1) or (1,)
-
-
-def _coordinate_scaling_table(group: GroupSpec, factor: int) -> np.ndarray:
-    """Read-only int64 table[x] = factor * x, from outer sums of per-factor digits."""
-    _require(group, f"index map x -> {factor}x", (8 * group.order, "bytes", _MAX_TABLE_BYTES))
-    digits = []
-    stride = 1
-    for m in _factors(group):
-        digit = np.arange(0, factor * stride * m, factor * stride, dtype=np.int64)
-        digit %= stride * m  # stride * (factor * x mod m), in place
-        digits.append(digit)
-        stride *= m
-    table = _coordinate_sum(digits)
-    table.setflags(write=False)
-    return table
 
 
 def require_pair_sums(group: GroupSpec, rows: int, cols: int) -> None:
@@ -281,13 +256,12 @@ def two_torsion(group: GroupSpec) -> np.ndarray:
 
     O(2^(number of even moduli)), with no O(n) table.
     """
-    points = [0]
-    stride = 1
+    points, stride = np.zeros(1, dtype=np.int64), 1
     for m in group.moduli:
         if m % 2 == 0:  # stride * m/2 is above every point so far
-            points += [p + stride * (m // 2) for p in points]
+            points = np.concatenate((points, points + stride * (m // 2)))
         stride *= m
-    return np.array(points)
+    return points
 
 
 def orbit_counts(group: GroupSpec) -> tuple[int, int]:
@@ -299,8 +273,8 @@ def orbit_counts(group: GroupSpec) -> tuple[int, int]:
 def negate(group: GroupSpec, elems: np.ndarray) -> np.ndarray:
     """-x for each index x in elems, in O(|elems| * rank) with no O(n) table."""
     negs, stride = -elems, 1  # -x is the sum of stride * m over the digits x_i > 0, less x
-    for m in group.moduli:
-        negs += stride * m * (elems % (stride * m) >= stride)  # x_i > 0
+    for m in _factors(group):
+        np.add(negs, stride * m, out=negs, where=elems % (stride * m) >= stride)  # x_i > 0
         stride *= m
     return negs
 
@@ -312,6 +286,12 @@ def orbit_split(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     k x 2 int array, both in ascending order of x, which callers that draw
     random bits per orbit rely on.
     """
-    nt = _coordinate_scaling_table(group, -1)
-    low = np.flatnonzero(np.arange(group.order) < nt)
-    return two_torsion(group), np.column_stack((low, nt[low]))
+    _require(group, "orbit split", (8 * group.order, "bytes", _MAX_TABLE_BYTES))
+    elems = np.arange(group.order)
+    negs = negate(group, elems)
+    low = (elems < negs).nonzero()[0]
+    del elems  # the pairs need only negs: keep the peak at negate's
+    pairs = np.empty((len(low), 2), dtype=negs.dtype)
+    pairs[:, 0] = low
+    pairs[:, 1] = negs[low]
+    return two_torsion(group), pairs

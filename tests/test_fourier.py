@@ -128,7 +128,9 @@ def test_t3_spectral_examples():
 
 def test_spectral_matches_direct_random():
     rng = random.Random(73)
-    for moduli in [(9,), (3, 5), (11,), (2, 8)]:
+    # Rank >= 3, distinct moduli, a Z_1 factor and order 1 read coeff[-2m]
+    # one axis at a time.
+    for moduli in [(9,), (3, 5), (11,), (2, 8), (3, 5, 7), (5, 1, 9), (3, 3, 3), (1,)]:
         g = make_group(moduli)
         for _ in range(10):
             s = random_symmetric_subset(rng, g)
@@ -172,11 +174,25 @@ def test_character_reduction_product_group():
     m0 = index(g, (1, 2))
     # character (x1, x2) -> e(2 pi i (x1/2 + x2/2)) has order 2, so g = 8/2.
     assert character_reduction(g, m0) == 4
-    values = character_values(g, m0)
+    values = character_values(g, m0, np.arange(g.order))
     for x in range(g.order):
         x1, x2 = g.coords(x)
         # v(x) = m1*x1*(n/n1) + m2*x2*(n/n2) = 4*x1 + 4*x2
         assert int(values[x]) == (4 * x1 + 4 * x2) % 8
+
+
+def test_character_values_on_a_subset_match_the_scalar_formula():
+    g = make_group([3, 1, 4, 5])
+    n = g.order
+    elems = np.array([0, 1, 7, 22, 31, 44, 58, 59])
+    for m0 in range(n):
+        want = [
+            sum(m * (n // n_i) * x_i for m, x_i, n_i in zip(g.coords(m0), g.coords(x), g.moduli))
+            % n
+            for x in elems.tolist()
+        ]
+        assert character_values(g, m0, elems).tolist() == want, m0
+    assert character_values(g, 5, elems[:0]).tolist() == []
 
 
 def test_residue_weights_examples():
@@ -232,8 +248,7 @@ def test_structure_report_matches_lemma2_and_arc_definition():
                     continue
                 rep = structure_report(s, 1, gamma0)
                 # the arc holds the phases v/n in [-1/3, 1/3] mod 1
-                values = character_values(g, rep.m0)
-                v = [int(values[x]) for x in s.indices()]
+                v = character_values(g, rep.m0, s.elems).tolist()
                 centered = [j if 2 * j <= n else j - n for j in v]
                 assert rep.arc_size == sum(3 * abs(j) <= n for j in centered)
                 p = size_profile(n, d)

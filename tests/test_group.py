@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apx import ApxError, SubsetMask, dft_indicator, enumerate_abelian_groups, make_group
+from apx.fourier import t3_from_coeffs
 from apx.group import (
     _MAX_FFT_BYTES,
     _MAX_TABLE_BYTES,
-    _coordinate_scaling_table,
     _sum_kernel,
     negate,
     orbit_counts,
@@ -135,13 +135,12 @@ def test_tables_match_scalar_ops():
         g = make_group(moduli)
         x = np.arange(g.order)
         sums = pair_sums(g, x, x)
-        nt, dt, mt = (_coordinate_scaling_table(g, k) for k in (-1, 2, -2))
+        nt = negate(g, x)
         assert np.array_equal(sums, add_table(g))  # the tests' dense reference
         assert np.array_equal(pair_sums(g, x, nt), sums[:, nt])
         for a in range(g.order):
             assert int(nt[a]) == neg(g, a)
-            assert int(dt[a]) == add(g, a, a)
-            assert int(mt[a]) == neg(g, add(g, a, a))
+            assert int(sums[a, a]) == add(g, a, a)  # x -> 2x is the diagonal
             for b in range(g.order):
                 assert int(sums[a, b]) == add(g, a, b)
 
@@ -149,48 +148,31 @@ def test_tables_match_scalar_ops():
 @pytest.mark.parametrize("moduli", [(7,), (8,), (3, 5), (2, 2, 3), (4, 1, 6)])
 def test_factors_of_one_change_no_table_pair_sum_or_spectrum(moduli):
     # Z_1 changes no index, so a 1 inserted at any position must leave the
-    # tables, the pair sums and the spectrum exactly as they were.
+    # negation, the tables, the pair sums and the spectrum exactly as they were.
     g = make_group(moduli)
     x = np.arange(g.order)
     s = SubsetMask(g, random.Random(g.order).getrandbits(g.order))
+    coeffs = dft_indicator(s)
     for k in range(len(moduli) + 1):
         h = make_group(moduli[:k] + (1,) + moduli[k:])
-        for factor in (-1, 2):
-            scaled = _coordinate_scaling_table(h, factor)
-            assert np.array_equal(scaled, _coordinate_scaling_table(g, factor)), (h, factor)
+        assert np.array_equal(negate(h, x), negate(g, x)), h
         for got, want in zip(_sum_kernel(h), _sum_kernel(g)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(pair_sums(h, x, x), pair_sums(g, x, x))
-        assert np.array_equal(dft_indicator(SubsetMask(h, s.bits)), dft_indicator(s))
+        assert np.array_equal(dft_indicator(SubsetMask(h, s.bits)), coeffs)
+        assert t3_from_coeffs(h, coeffs) == t3_from_coeffs(g, coeffs), h
 
 
 @pytest.mark.parametrize("moduli", [(1,), (1, 1)])
 def test_trivial_group_tables_and_spectrum(moduli):
     g = make_group(moduli)
     zero = np.zeros(1, dtype=np.int64)
-    for factor in (-1, 2):
-        assert np.array_equal(_coordinate_scaling_table(g, factor), zero)
+    assert np.array_equal(negate(g, zero), zero)
     assert [k.tolist() for k in _sum_kernel(g)] == [[0], [0]]
     assert pair_sums(g, zero, zero).tolist() == [[0]]
     assert dft_indicator(SubsetMask(g, 1)).tolist() == [1]
     assert dft_indicator(SubsetMask(g, 0)).tolist() == [0]
-
-
-def test_scaling_tables_build_no_large_temporaries():
-    # An 8 MB int64 table, built from outer sums of per-factor digits; the
-    # last outer sum also holds the table of the other factors.
-    for moduli, table_bytes in [
-        ([1000000], 8 << 20), ([1000, 1000], 8 << 20), ([2] * 20, 12 << 20)
-    ]:
-        g = make_group(moduli)
-        for factor in (-1, 2):
-            tracemalloc.start()
-            try:
-                _coordinate_scaling_table(g, factor)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < table_bytes + (1 << 20), (moduli, factor, peak)
+    assert t3_from_coeffs(g, dft_indicator(SubsetMask(g, 1))) == 1  # the one triple (0, 0, 0)
 
 
 def test_units_and_dilations():
@@ -211,8 +193,7 @@ def test_units_and_dilations():
 
 def test_tables_are_readonly():
     g = make_group([6])
-    scaled = (_coordinate_scaling_table(g, factor) for factor in (-1, 2))
-    for table in (*scaled, *_sum_kernel(g)):
+    for table in _sum_kernel(g):
         with pytest.raises(ValueError):
             table[0] = 1
         assert np.all(table >= 0)
@@ -262,23 +243,37 @@ def test_pair_sums_refuse_oversized_inputs():
 
 
 def test_index_map_and_spectrum_each_refuses_before_allocating():
-    # Z_10^8: an 800 MB index map and a 1.6 GB spectrum.
+    # Z_10^8: an 800 MB negation of every element and a 1.6 GB spectrum.
     big = make_group([10**8])
     tracemalloc.start()
     try:
-        for scale in (-1, -2):
-            with pytest.raises(ApxError, match=rf"x -> {scale}x .* needs 800000000 bytes"):
-                _coordinate_scaling_table(big, scale)
+        with pytest.raises(ApxError, match="orbit split .* needs 800000000 bytes"):
+            orbit_split(big)
         with pytest.raises(ApxError, match="spectrum .* needs 1600000000 bytes"):
             dft_indicator(SubsetMask(big, 0b10))
-        with pytest.raises(ApxError, match="index map"):
-            orbit_split(big)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # Every order whose index map fits, cyclic orders up to 2^23, transforms.
+    # Every order whose orbit split fits, cyclic orders up to 2^23, transforms.
     assert 16 * (_MAX_TABLE_BYTES // 8) <= _MAX_FFT_BYTES
+
+
+def test_orbit_split_memory_stays_within_its_negation():
+    # Bounds: each split's peak in MiB when it read an index map, plus 1 MiB.
+    # The arange, the negation and negate's temporaries take about 25 bytes
+    # an element; Z_2^20's 2^20 fixed points are one int64 array.
+    for moduli, index_map_peak in [
+        ([1000000], 22.9), ([1000, 1000], 22.9), ([2] * 20, 56.0)
+    ]:
+        g = make_group(moduli)
+        tracemalloc.start()
+        try:
+            orbit_split(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (index_map_peak + 1) * (1 << 20), (moduli, peak)
 
 
 def test_orbit_split_matches_scalar_negation():
