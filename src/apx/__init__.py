@@ -16,7 +16,7 @@ from .bounds import (
     closure_bound,
     gls_bound,
     gls_sufficiency,
-    gls_threshold_min,
+    gls_threshold_holds,
     lemma2_check,
     lemma2_scan,
     size_profile,

@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ApxError, OutOfLemmaRangeError
+from .group import _BLOCK_BYTES
 from .util import as_fraction, pmap
 
 GAMMA0 = Fraction(949, 1000)
@@ -143,10 +144,6 @@ class GlsSufficiency:
     identity2: Fraction  # threshold - term2, always >= 0
 
 
-def _gls_threshold(q: int, alpha: Fraction) -> Fraction:
-    return Fraction(q + alpha**3) / (q + alpha)
-
-
 def gls_sufficiency(q: int, alpha, gamma0=GAMMA0) -> GlsSufficiency:
     """Check M <= (q + alpha^3)/(q + alpha) and the two difference identities.
 
@@ -159,7 +156,7 @@ def gls_sufficiency(q: int, alpha, gamma0=GAMMA0) -> GlsSufficiency:
     and verified exactly equal; both must be non-negative.
     """
     alpha = _check_profile_args(q, alpha)
-    threshold = _gls_threshold(q, alpha)
+    threshold = Fraction(q + alpha**3) / (q + alpha)
     diff1, diff2 = (threshold - term for term in _branches(q, alpha))
     closed1 = alpha**3 * (q * q - 1) / (q * q * (q + alpha))
     closed2 = (
@@ -184,15 +181,21 @@ def gls_sufficiency(q: int, alpha, gamma0=GAMMA0) -> GlsSufficiency:
     )
 
 
-def gls_threshold_min(q: int, steps: int = 10_000) -> tuple[Fraction, Fraction]:
-    """Exact minimum of (q + alpha^3)/(q + alpha) on the grid alpha = i/steps.
+def gls_threshold_holds(q: int, gamma0=GAMMA0) -> bool:
+    """Whether gls_sufficiency(q, alpha, gamma0).holds for every alpha in [0, 1].
 
-    Returns (minimum, argmin alpha).
+    Exact, with no grid. No algebraic branch exceeds the threshold (the
+    closed-form differences are products of non-negative factors), so it
+    holds iff f(alpha) = alpha^3 - gamma0 alpha + q (1 - gamma0) >= 0 on
+    [0, 1]: always at gamma0 <= 0 (or None), never at gamma0 >= 1 (f(1/2)
+    < 0). For 0 < gamma0 < 1, f is convex on [0, 1] with least value
+    q (1 - gamma0) - 2 (gamma0/3)^(3/2) at alpha = sqrt(gamma0/3), which is
+    >= 0 iff 27 q^2 (1 - gamma0)^2 >= 4 gamma0^3: at the default iff
+    70227000 q^2 >= 3418681396, first true at q = 7.
     """
-    if q < 1 or steps < 1:
-        raise ValueError("need q >= 1 and steps >= 1")
-    alphas = (Fraction(i, steps) for i in range(steps + 1))
-    return min((_gls_threshold(q, alpha), alpha) for alpha in alphas)
+    _check_profile_args(q, 0)
+    gamma0 = Fraction(0) if gamma0 is None else as_fraction(gamma0)
+    return gamma0 <= 0 or (gamma0 < 1 and 27 * q * q * (1 - gamma0) ** 2 >= 4 * gamma0**3)
 
 
 def _induction_step(eta, m):
@@ -275,10 +278,6 @@ def _alpha_grid(alpha_steps: int) -> list[Fraction]:
 # double rounding error on these O(1) expressions is far below 1e-9.
 _SCREEN_MARGIN = -1e-9
 
-# The float screen takes whole alpha rows, at most this many grid points at a
-# time, so each of its temporaries stays near 1 MB.
-_SCREEN_POINTS = 1 << 17
-
 
 def _step_sign(e: int, e_den: int, m_num: int, m_den: int, rhs: Fraction) -> int:
     """Exact sign of eta^2 m + 3 (1 - eta)^2 - rhs at eta = e/e_den, m = m_num/m_den."""
@@ -331,7 +330,7 @@ def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
     etas = {e: Fraction(e, e_den) for e in e_grid}
     e_num = np.array(e_grid, dtype=np.int64)
     den = a_den * np.arange(1, q + 1, dtype=np.int64)[:, None] * e_num
-    rows = max(1, _SCREEN_POINTS // max(1, den.size))
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, den.size)))
     violations, equalities = [], []
     for first in range(0, alpha_steps if e_grid else 0, rows):
         block = np.arange(first, min(first + rows, alpha_steps), dtype=np.int64)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ApxError, EmptySetError, InvalidConnectionSetError
 from .group import (
+    _BLOCK_BYTES,
     _MAX_CAYLEY_WORDS,
     _MAX_CUBE_BYTES,
     _MAX_SQUARE_BITS,
@@ -274,11 +275,6 @@ def direct_t3(s: SubsetMask) -> int:
     pairs = s.pairs  # refused, when over budget, before the kernel is built
     embed, reduce = _sum_kernel(s.group)
     return pairs.total(reduce[2 * embed[s.elems]])
-
-
-# Byte budget for one block of neighbour rows or edge-row intersections in
-# cayley_triangles_direct.
-_BLOCK_BYTES = 1 << 20
 
 
 def _require_connection_set(s: SubsetMask) -> None:

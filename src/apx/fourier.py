@@ -45,7 +45,7 @@ _TIE_TOLERANCE = 1e-12
 
 def dft_indicator(s: SubsetMask) -> np.ndarray:
     """Read-only Fourier coefficients of 1_S, in the shared mixed-radix order."""
-    _require(s.group, "spectrum", (16 * s.group.order, "bytes", _MAX_FFT_BYTES))
+    _require(s.group, "spectrum", (32 * s.group.order, "bytes", _MAX_FFT_BYTES))
     shape = tuple(reversed(_factors(s.group)))  # a Z_1 axis would only cost time
     shaped = s.memb.astype(np.complex128).reshape(shape)
     coeffs = np.fft.fftn(shaped, norm="forward").reshape(-1)

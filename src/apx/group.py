@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ApxError
 
-# The ceilings. Each is checked by _require, which states every estimate.
+# The ceilings, each checked by _require, and the blocked kernels' one budget.
 
 # Fail fast on absurd presentations before any table gets allocated.
 _MAX_ORDER = 1 << 62
@@ -39,8 +39,8 @@ _MAX_TABLE_BYTES = 1 << 26
 # most 24 orbits (2^24 subsets).
 _MAX_CUBE_BYTES = 1 << 25
 
-# Largest spectrum, 16-byte cells: every order orbit_split admits transforms.
-_MAX_FFT_BYTES = 1 << 27
+# Largest spectrum, 32 n bytes of complex128 in and out: every order orbit_split admits.
+_MAX_FFT_BYTES = 1 << 28
 
 # Largest input polynomial the square route of pair_route squares: 2^23
 # bits, about 3 s of CPython's Karatsuba multiplication on a 2-CPU machine.
@@ -58,6 +58,9 @@ _MAX_CAYLEY_WORDS = 1 << 29
 # fewer above it.
 _SEARCH_CALL_BITS = 1 << 13
 _MAX_SEARCH_BITS = 1 << 33
+
+# Not a ceiling: the bytes of one temporary in the blocked kernels (Cayley, lemma2, lemma1).
+_BLOCK_BYTES = 1 << 20
 
 
 def _require(group: GroupSpec, what: str, *costs, refuse: bool = True) -> bool:

@@ -18,6 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ApxError, SymmetryRequiredError
+from .group import _BLOCK_BYTES
 from .util import as_fraction, pmap
 
 
@@ -159,19 +160,15 @@ def _window_triples(radius: int):
     return x, y, z, np.array(list(groups.values()), dtype=np.int64)
 
 
-# Tails per int64 matrix in _scan_center: about 1 MB per temporary at radius 5.
-_TAIL_CHUNK = 4096
-
-
 def _scan_center(a0: int, d_max: int, radius: int, eps: Fraction):
     """Check every symmetric sequence with center a0 and total <= d_max.
 
     Each chunk of tails is stacked into an int64 matrix of half sequences,
-    and every row's min-product sum comes from _window_triples. Both sides
-    of the implication compare against integer thresholds per total d:
-    mps >= ceil((1-eps) d^2) and a_0 >= ceil((1-eps) d); each is at most
-    d^2, whatever eps's denominator. Violations are rebuilt by
-    implication_check, the reference oracle.
+    and every row's min-product sum comes from _window_triples; a chunk keeps
+    each temporary near _BLOCK_BYTES at any radius. Both sides of the
+    implication compare against integer thresholds per total d: mps >=
+    ceil((1-eps) d^2) and a_0 >= ceil((1-eps) d), each at most d^2 whatever
+    eps's denominator. Violations are rebuilt by implication_check, the oracle.
     """
     x, y, z, mult = _window_triples(radius)
     scale = 1 - eps
@@ -180,7 +177,7 @@ def _scan_center(a0: int, d_max: int, radius: int, eps: Fraction):
     checked = 0
     violations = []
     tails = _half_tails(radius, (d_max - a0) // 2)
-    while chunk := list(islice(tails, _TAIL_CHUNK)):
+    while chunk := list(islice(tails, max(1, _BLOCK_BYTES // (8 * len(mult))))):
         half = np.array([(a0, *tail) for tail in chunk], dtype=np.int64)
         d = 2 * half.sum(axis=1) - a0
         hx, hy, hz = half[:, x], half[:, y], half[:, z]

@@ -104,41 +104,38 @@ def extremal_search(
     n = group.order
     profile = size_profile(n, d)
     if objective == "prob":
-        bound = closure_bound(profile.q, profile.alpha, gamma0)
         fixed_count, pair_count = orbit_counts(group)
-        count = sum(
-            comb(fixed_count, k) * comb(pair_count, (d - k) // 2)
-            for k in range(d & 1, d + 1, 2)
-        )
         evaluate = direct_prob
     elif objective == "t3density":
         if n % 2 == 0:
-            raise OddOrderRequiredError(
-                "progression-density search runs on odd-order groups"
-            )
-        bound = closure_bound(profile.q, profile.alpha, None)
-        count = comb(n, d)
-        denom = d * d
+            raise OddOrderRequiredError("progression-density search runs on odd-order groups")
+        # Every element is its own orbit: _symmetric_bits then meets every
+        # d-subset, in combinations order.
+        fixed_count, pair_count, gamma0 = n, 0, None
 
         def evaluate(s: SubsetMask) -> Fraction:
-            return Fraction(direct_t3(s), denom)
+            return Fraction(direct_t3(s), d * d)
 
     else:
         raise ValueError(f"objective must be 'prob' or 't3density', got {objective!r}")
+    bound = closure_bound(profile.q, profile.alpha, gamma0)
+    count = sum(  # k fixed points and (d - k) / 2 pairs, where both fit
+        comb(fixed_count, k) * comb(pair_count, (d - k) // 2)
+        for k in range(max(d & 1, d - 2 * pair_count), min(fixed_count, d) + 1, 2)
+    )
     bits = count * max(n, _ceilings._SEARCH_CALL_BITS)
     what = f"{objective} search over {count} candidates at size {d}"
     _require(group, what, (bits, "bits to decode", _ceilings._MAX_SEARCH_BITS))
     pair_route(group, d)
-    if objective == "prob":
-        # A size below 2 takes no pair, so it builds no O(n) orbit table.
-        pairs = orbit_split(group)[1] if d > 1 else np.empty((0, 2), dtype=np.int64)
-        candidates = _symmetric_bits(two_torsion(group), pairs, d)
-    else:
-        candidates = (sum(1 << i for i in combo) for combo in combinations(range(n), d))
+    if objective == "prob" and d > 1:
+        fixed, pairs = orbit_split(group)
+    else:  # no pairs; a prob size below 2 builds no O(n) orbit table
+        fixed = np.arange(n) if objective == "t3density" else two_torsion(group)
+        pairs = np.empty((0, 2), dtype=np.int64)
     best = None
     witnesses: list[SubsetMask] = []
     enumerated = 0
-    for bits in candidates:
+    for bits in _symmetric_bits(fixed, pairs, d):
         enumerated += 1
         s = SubsetMask(group, bits)
         value = evaluate(s)

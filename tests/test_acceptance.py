@@ -7,6 +7,8 @@ criteria complete. Every tolerance is pinned here, not configurable.
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from apx import (
     GAMMA0,
     SubsetMask,
@@ -16,7 +18,7 @@ from apx import (
     direct_prob,
     enumerate_abelian_groups,
     gls_sufficiency,
-    gls_threshold_min,
+    gls_threshold_holds,
     min_product_sum,
     prob_from_s0,
     verify_gls,
@@ -147,13 +149,26 @@ def test_criterion_6_induction_inequality_grid():
     )
 
 
+def _threshold_min(q: int) -> tuple[float, float]:
+    """(min, argmin) over [0, 1] of (q + alpha^3)/(q + alpha), in floats.
+
+    The derivative has the sign of 2 alpha^3 + 3 q alpha^2 - q, whose one
+    root in [0, 1] is the minimum.
+    """
+    root = next(
+        r.real for r in np.roots([2, 3 * q, 0, -q]) if abs(r.imag) < 1e-12 and 0 <= r.real <= 1
+    )
+    return (q + root**3) / (q + root), root
+
+
 def test_criterion_7_degree_seven_threshold():
-    min7, arg7 = gls_threshold_min(7, steps=10_000)
-    min6, arg6 = gls_threshold_min(6, steps=10_000)
+    min7, arg7 = _threshold_min(7)
+    min6, arg6 = _threshold_min(6)
     numeric_ok = (
-        abs(float(min7) - 0.94926) <= 5e-4
-        and abs(float(min6) - 0.9415) <= 5e-4
-        and min7 > GAMMA0 > min6
+        abs(min7 - 0.94926) <= 5e-4
+        and abs(min6 - 0.9415) <= 5e-4
+        and gls_threshold_holds(7)
+        and not gls_threshold_holds(6)
     )
     identities_ok = True
     for q in range(1, 51):
@@ -164,10 +179,10 @@ def test_criterion_7_degree_seven_threshold():
     _report(
         7,
         numeric_ok and identities_ok,
-        f"min threshold at q=7 is {float(min7):.5f} (alpha = {arg7}) >"
-        f" {float(GAMMA0)}, at q=6 is {float(min6):.5f} < {float(GAMMA0)};"
-        f" both difference identities hold exactly on q in [1,50], alpha in"
-        f" hundredths",
+        f"min threshold at q=7 is {min7:.6f} (alpha = {arg7:.5f}) >"
+        f" {float(GAMMA0)}, at q=6 is {min6:.6f} < {float(GAMMA0)}, exactly"
+        f" by gls_threshold_holds; both difference identities hold exactly on"
+        f" q in [1,50], alpha in hundredths",
     )
 
 

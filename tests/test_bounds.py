@@ -15,7 +15,7 @@ from apx import (
     closure_bound,
     gls_bound,
     gls_sufficiency,
-    gls_threshold_min,
+    gls_threshold_holds,
     lemma2_check,
     lemma2_scan,
     size_profile,
@@ -163,12 +163,27 @@ def test_gls_sufficiency_identities_nonnegative():
             assert rep.identity1 >= 0 and rep.identity2 >= 0
 
 
-def test_gls_threshold_min_brackets_gamma0():
-    m7, a7 = gls_threshold_min(7, steps=2000)
-    m6, a6 = gls_threshold_min(6, steps=2000)
-    assert m7 > GAMMA0 > m6
-    assert Fraction(1, 2) < a7 < Fraction(3, 5)
-    assert Fraction(1, 2) < a6 < Fraction(3, 5)
+def test_gls_threshold_holds_exactly_from_q_seven():
+    # verify gls asserts the cases with q >= 7 and only logs q < 7: the
+    # regime where the closure bound stays below the clique threshold.
+    assert [q for q in range(1, 60) if gls_threshold_holds(q)] == list(range(7, 60))
+
+
+GLS_GAMMA0S = [
+    Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(93, 100), GAMMA0,
+    Fraction(95, 100), Fraction(99, 100), Fraction(1), Fraction(3, 2),
+]
+
+
+def test_gls_threshold_holds_matches_gls_sufficiency_on_a_grid():
+    # Where the threshold fails for these q and gamma0, it fails on an alpha
+    # interval wider than 1/8, so sixteenths of [0, 1] meet every failure.
+    for q in range(1, 13):
+        for gamma0 in GLS_GAMMA0S + [None]:
+            pointwise = all(
+                gls_sufficiency(q, Fraction(i, 16), gamma0).holds for i in range(17)
+            )
+            assert gls_threshold_holds(q, gamma0) == pointwise, (q, gamma0)
 
 
 def test_lemma2_check_equality_case():
@@ -330,7 +345,7 @@ def test_scan_one_q_matches_lemma2_check(q, alpha_steps, eta_steps, gamma0, bloc
                     expected_viol.append(p)
                 elif p.lhs == p.rhs:
                     expected_eq.append(p)
-    with patch.object(bounds, "_SCREEN_POINTS", block):
+    with patch.object(bounds, "_BLOCK_BYTES", 8 * block):
         points, violations, equalities = _scan_one_q(q, alpha_steps, eta_steps, gamma0)
     assert points == alpha_steps * q * eta_steps
     assert violations == expected_viol

@@ -243,20 +243,20 @@ def test_pair_sums_refuse_oversized_inputs():
 
 
 def test_index_map_and_spectrum_each_refuses_before_allocating():
-    # Z_10^8: an 800 MB negation of every element and a 1.6 GB spectrum.
+    # Z_10^8: an 800 MB negation of every element and a 3.2 GB spectrum.
     big = make_group([10**8])
     tracemalloc.start()
     try:
         with pytest.raises(ApxError, match="orbit split .* needs 800000000 bytes"):
             orbit_split(big)
-        with pytest.raises(ApxError, match="spectrum .* needs 1600000000 bytes"):
+        with pytest.raises(ApxError, match="spectrum .* needs 3200000000 bytes"):
             dft_indicator(SubsetMask(big, 0b10))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     # Every order whose orbit split fits, cyclic orders up to 2^23, transforms.
-    assert 16 * (_MAX_TABLE_BYTES // 8) <= _MAX_FFT_BYTES
+    assert 32 * (_MAX_TABLE_BYTES // 8) <= _MAX_FFT_BYTES
 
 
 def test_orbit_split_memory_stays_within_its_negation():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -14,7 +15,7 @@ from apx import (
     min_product_sum,
 )
 from apx.errors import ApxError
-from apx.lemma1 import _half_tails, _scan_center
+from apx.lemma1 import _half_tails, _scan_center, _window_triples
 
 
 def test_weight_seq_construction():
@@ -163,7 +164,8 @@ def test_scan_center_matches_implication_check(d_max, a0, radius, eps, chunk):
         result = implication_check(IntWeightSeq.symmetric(a0, tail), eps)
         if not result.ok:
             expected.append(result)
-    with patch.object(lemma1, "_TAIL_CHUNK", chunk):
+    triples = len(_window_triples(radius)[3])
+    with patch.object(lemma1, "_BLOCK_BYTES", 8 * triples * chunk):
         assert _scan_center(a0, d_max, radius, eps) == (checked, expected)
 
 
@@ -174,6 +176,20 @@ def test_scan_center_rebuilds_violations_with_the_oracle():
     with patch.object(lemma1, "implication_check", lambda seq, eps: ok):
         with pytest.raises(ApxError, match="disagree"):
             _scan_center(3, 9, 1, Fraction(2, 9))
+
+
+def test_scan_center_memory_stays_near_its_block_at_a_wide_radius():
+    # Radius 20 has 121 triple groups, so a chunk of 4,096 tails would make
+    # 3.8 MiB int64 temporaries (a 24.6 MiB traced peak); chunks sized to
+    # the block budget keep each near 1 MiB.
+    tracemalloc.start()
+    try:
+        checked, violations = _scan_center(0, 8, 20, Fraction(99, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (checked, violations) == (10625, [])
+    assert peak < 10 << 20
 
 
 @pytest.mark.parametrize("eps", [Fraction(3, 2), Fraction(1), Fraction(-1, 10)])
