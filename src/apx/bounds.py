@@ -259,6 +259,34 @@ def lemma2_check(q: int, alpha, k: int, eta, gamma0=GAMMA0) -> Lemma2Point:
 
 
 @dataclass(frozen=True)
+class Lemma2Equalities:
+    """The scan's equalities as int rows (i, k, e, q', r), one block per q.
+
+    A block is (q, rhs, rows): alpha = i / a_den, eta = e / e_den and alpha'
+    = r / (a_den k e), with a_den = alpha_steps - 1 and e_den = 4 eta_steps,
+    and lhs = rhs = rhs[i]. Iterating yields each row's Lemma2Point in scan
+    order; report_json spells the rows without building them.
+    """
+
+    alpha_steps: int
+    eta_steps: int
+    blocks: tuple[tuple[int, tuple[Fraction, ...], tuple[tuple[int, ...], ...]], ...]
+
+    def __len__(self) -> int:
+        return sum(len(rows) for _, _, rows in self.blocks)
+
+    def __iter__(self):
+        a_den, e_den = self.alpha_steps - 1, 4 * self.eta_steps
+        for q, rhs, rows in self.blocks:
+            for i, k, e, q_prime, r in rows:
+                yield Lemma2Point(
+                    q=q, alpha=Fraction(i, a_den), k=k, eta=Fraction(e, e_den),
+                    q_prime=q_prime, alpha_prime=Fraction(r, a_den * k * e),
+                    lhs=rhs[i], rhs=rhs[i], holds_le=True, strict=False,
+                )
+
+
+@dataclass(frozen=True)
 class Lemma2ScanReport:
     q_max: int
     alpha_steps: int
@@ -266,12 +294,7 @@ class Lemma2ScanReport:
     gamma0: Fraction
     points: int
     violations: tuple[Lemma2Point, ...]
-    equalities: tuple[Lemma2Point, ...]
-
-
-def _alpha_grid(alpha_steps: int) -> list[Fraction]:
-    # alpha_steps uniform points covering [0, 1], endpoints included.
-    return [Fraction(i, alpha_steps - 1) for i in range(alpha_steps)]
+    equalities: Lemma2Equalities
 
 
 # Anything float-scored above this margin below zero gets exact adjudication;
@@ -316,22 +339,22 @@ def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
     >= gamma0 >= 3/4, the lemma holds on the continuum for all q >= 2, alpha
     in [0, 1] and k when eta < (3 + sqrt(4 gamma0 - 3)) / 4 (~0.973 at the
     default). On the other rows a float screen skips points safely below the
-    ceiling, and _lemma2_sign decides each point near it exactly. Equalities
-    reuse the row's rhs as lhs; lemma2_check, the oracle, rebuilds violations.
+    ceiling, and _lemma2_sign decides each point near it exactly. Returns
+    (points, violations, block): block is this q's Lemma2Equalities block,
+    (q, rhs, rows) with one int row (i, k, e, q', r) per equality.
+    lemma2_check, the oracle, rebuilds violations.
     """
     gamma0 = as_fraction(gamma0)
-    alphas = _alpha_grid(alpha_steps)
     # alpha = i / a_den and eta = e / e_den, so (q + alpha) / (k * eta) is
     # num / den with num = (q * a_den + i) * e_den and den = a_den * k * e.
     a_den, e_den = alpha_steps - 1, 4 * eta_steps
     rhs = [Fraction(*_closure_max(q, i, a_den, gamma0)[:2]) for i in range(alpha_steps)]
     rhs_f = np.array([float(v) for v in rhs])[:, None, None]
     e_grid = _envelope_rows(min(rhs), eta_steps, gamma0)
-    etas = {e: Fraction(e, e_den) for e in e_grid}
     e_num = np.array(e_grid, dtype=np.int64)
     den = a_den * np.arange(1, q + 1, dtype=np.int64)[:, None] * e_num
     rows = max(1, _BLOCK_BYTES // (8 * max(1, den.size)))
-    violations, equalities = [], []
+    violations, eq_rows = [], []
     for first in range(0, alpha_steps if e_grid else 0, rows):
         block = np.arange(first, min(first + rows, alpha_steps), dtype=np.int64)
         num = ((q * a_den + block) * e_den)[:, None, None]
@@ -345,24 +368,20 @@ def _scan_one_q(q: int, alpha_steps: int, eta_steps: int, gamma0: Fraction):
             if k == 1 and e == e_den:
                 # The identity line: the ratio is q + alpha, so lhs = rhs; at
                 # alpha = 1 too, as M(q + 1, 0) = max(1, gamma0) = M(q, 1).
-                qp, alpha_prime = q + i // a_den, alphas[i % a_den]
+                qp, r = q + i // a_den, i % a_den * e_den
             else:
                 sign, qp, r = _lemma2_sign(
                     (q * a_den + i) * e_den, a_den * k * e, e, e_den, gamma0, rhs[i]
                 )
                 if sign > 0:
-                    point = lemma2_check(q, alphas[i], k, etas[e], gamma0)
+                    point = lemma2_check(q, Fraction(i, a_den), k, Fraction(e, e_den), gamma0)
                     if point.holds_le:
                         raise ApxError("internal: lemma2 kernel and oracle disagree")
                     violations.append(point)
                 if sign:
                     continue
-                alpha_prime = Fraction(r, a_den * k * e)
-            equalities.append(Lemma2Point(
-                q=q, alpha=alphas[i], k=k, eta=etas[e], q_prime=qp, alpha_prime=alpha_prime,
-                lhs=rhs[i], rhs=rhs[i], holds_le=True, strict=False,
-            ))
-    return alpha_steps * q * eta_steps, violations, equalities
+            eq_rows.append((i, k, e, qp, r))
+    return alpha_steps * q * eta_steps, violations, (q, tuple(rhs), tuple(eq_rows))
 
 
 def lemma2_scan(
@@ -392,5 +411,5 @@ def lemma2_scan(
         q_max=q_max, alpha_steps=alpha_steps, eta_steps=eta_steps, gamma0=gamma0,
         points=sum(c[0] for c in chunks),
         violations=tuple(p for c in chunks for p in c[1]),
-        equalities=tuple(p for c in chunks for p in c[2]),
+        equalities=Lemma2Equalities(alpha_steps, eta_steps, tuple(c[2] for c in chunks)),
     )

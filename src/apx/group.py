@@ -63,6 +63,15 @@ _MAX_SEARCH_BITS = 1 << 33
 _BLOCK_BYTES = 1 << 20
 
 
+def _spell_count(n: int) -> str:
+    """n in decimal below 10^18, else "at least 2^k" with k = bit_length - 1.
+
+    Python refuses to turn an int of more than 4,300 digits into a string,
+    and an estimate past any ceiling needs no more than its magnitude.
+    """
+    return str(n) if n < 10**18 else f"at least 2^{n.bit_length() - 1}"
+
+
 def _require(group: GroupSpec, what: str, *costs, refuse: bool = True) -> bool:
     """Whether every (estimate, unit, ceiling) of costs is within its ceiling.
 
@@ -73,7 +82,7 @@ def _require(group: GroupSpec, what: str, *costs, refuse: bool = True) -> bool:
         return fits
     raise ApxError(
         f"the {what} of group {group.label} (order {group.order}) needs "
-        + " and ".join(f"{e} {unit} (ceiling {c})" for e, unit, c in costs)
+        + " and ".join(f"{_spell_count(e)} {unit} (ceiling {c})" for e, unit, c in costs)
     )
 
 

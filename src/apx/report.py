@@ -14,10 +14,12 @@ import io
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import itemgetter
 
 import numpy as np
 
+from .bounds import Lemma2Equalities
 from .counting import SubsetMask
 from .group import GroupSpec
 
@@ -73,8 +75,34 @@ def _spell_fraction(f: Fraction, spelled: dict) -> str:
     return text
 
 
+def _spell_equalities(table: Lemma2Equalities, _) -> str:
+    """The JSON of tuple(table), written from its int rows.
+
+    Each alpha, eta and rhs is spelled once, alpha' = r / (a_den k e) is
+    reduced with one gcd, and the keys are Lemma2Point's fields in order.
+    """
+    a_den, e_den = table.alpha_steps - 1, 4 * table.eta_steps
+    alphas = [frac_str(Fraction(i, a_den)) for i in range(table.alpha_steps)]
+    etas = {e: frac_str(Fraction(e, e_den)) for e in range(3 * table.eta_steps + 1, e_den + 1)}
+    items = []
+    for q, rhs, rows in table.blocks:
+        rhs_text = [frac_str(v) for v in rhs]
+        for i, k, e, q_prime, r in rows:
+            den = a_den * k * e
+            g = gcd(r, den)
+            items.append(
+                f'{{"alpha":"{alphas[i]}","alpha_prime":"{r // g}/{den // g}",'
+                f'"eta":"{etas[e]}","holds_le":true,"k":{k},"lhs":"{rhs_text[i]}",'
+                f'"q":{q},"q_prime":{q_prime},"rhs":"{rhs_text[i]}","strict":false}}'
+            )
+    return "[" + ",".join(items) + "]"
+
+
 # Leaves by exact type; bool, numpy scalars and subclasses take the isinstance chain.
-_EXACT = {str: lambda s, _: json.dumps(s), int: lambda i, _: str(i), Fraction: _spell_fraction}
+_EXACT = {
+    str: lambda s, _: json.dumps(s), int: lambda i, _: str(i), Fraction: _spell_fraction,
+    Lemma2Equalities: _spell_equalities,
+}
 
 
 def _write_json(obj, out: list[str], spelled: dict) -> None:

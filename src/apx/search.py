@@ -38,6 +38,7 @@ from .errors import OddOrderRequiredError
 from .group import (
     GroupSpec,
     _require,
+    _spell_count,
     enumerate_abelian_groups,
     orbit_counts,
     orbit_split,
@@ -124,7 +125,7 @@ def extremal_search(
         for k in range(max(d & 1, d - 2 * pair_count), min(fixed_count, d) + 1, 2)
     )
     bits = count * max(n, _ceilings._SEARCH_CALL_BITS)
-    what = f"{objective} search over {count} candidates at size {d}"
+    what = f"{objective} search over {_spell_count(count)} candidates at size {d}"
     _require(group, what, (bits, "bits to decode", _ceilings._MAX_SEARCH_BITS))
     pair_route(group, d)
     if objective == "prob" and d > 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from unittest.mock import patch
@@ -22,13 +23,19 @@ from apx import (
 )
 from apx import bounds
 from apx.bounds import (
-    _alpha_grid,
+    Lemma2Equalities,
     _envelope_rows,
     _lemma2_sign,
     _scan_one_q,
     induction_bound,
 )
 from apx.errors import ApxError
+from apx.report import report_json
+
+
+def _alpha_grid(alpha_steps):
+    # The scan's alpha grid: alpha_steps uniform points covering [0, 1].
+    return [Fraction(i, alpha_steps - 1) for i in range(alpha_steps)]
 
 
 def _eta_grid(eta_steps):
@@ -294,7 +301,7 @@ def test_lemma2_screen_never_skips_a_boundary_point():
     # here, must be among the scan's equalities or violations.
     q_max, alpha_steps, eta_steps = 8, 101, 51
     rep = lemma2_scan(q_max, alpha_steps, eta_steps)
-    flagged = {(p.q, p.alpha, p.k, p.eta) for p in rep.equalities + rep.violations}
+    flagged = {(p.q, p.alpha, p.k, p.eta) for p in (*rep.equalities, *rep.violations)}
     alphas, etas = _alpha_grid(alpha_steps), _eta_grid(eta_steps)
     rng = random.Random(2018)
     boundary = 0
@@ -346,10 +353,23 @@ def test_scan_one_q_matches_lemma2_check(q, alpha_steps, eta_steps, gamma0, bloc
                 elif p.lhs == p.rhs:
                     expected_eq.append(p)
     with patch.object(bounds, "_BLOCK_BYTES", 8 * block):
-        points, violations, equalities = _scan_one_q(q, alpha_steps, eta_steps, gamma0)
+        points, violations, block = _scan_one_q(q, alpha_steps, eta_steps, gamma0)
     assert points == alpha_steps * q * eta_steps
     assert violations == expected_viol
-    assert equalities == expected_eq
+    assert list(Lemma2Equalities(alpha_steps, eta_steps, (block,))) == expected_eq
+
+
+@pytest.mark.parametrize("gamma0", SCAN_GAMMA0S, ids=str)
+@settings(max_examples=8, deadline=None)
+@given(q_max=st.integers(2, 6), alpha_steps=st.integers(2, 9), eta_steps=st.integers(2, 6))
+@example(q_max=8, alpha_steps=21, eta_steps=11)
+def test_equalities_table_writes_the_json_of_its_points(gamma0, q_max, alpha_steps, eta_steps):
+    # report_json spells the equalities table from its int rows; the generic
+    # dataclass path writes the Lemma2Points the table yields. Same bytes.
+    rep = lemma2_scan(q_max, alpha_steps, eta_steps, gamma0)
+    points = tuple(rep.equalities)
+    assert len(points) == len(rep.equalities) > 0
+    assert report_json(rep) == report_json(dataclasses.replace(rep, equalities=points))
 
 
 def test_scan_one_q_rebuilds_violations_with_the_oracle():
@@ -390,8 +410,9 @@ def test_identity_line_is_recorded_without_the_kernel(gamma0):
         return _lemma2_sign(num, den, e, *args)
 
     with patch.object(bounds, "_lemma2_sign", recording):
-        _, _, equalities = _scan_one_q(q, alpha_steps, eta_steps, gamma0)
+        _, _, block = _scan_one_q(q, alpha_steps, eta_steps, gamma0)
     assert asked and (a_den * e_den, e_den) not in asked
+    equalities = Lemma2Equalities(alpha_steps, eta_steps, (block,))
     line = {p.alpha: p for p in equalities if (p.k, p.eta) == (1, 1)}
     assert len(line) == alpha_steps
     for alpha in (Fraction(0), Fraction(3, 10), Fraction(1)):

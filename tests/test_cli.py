@@ -163,6 +163,8 @@ _REFUSAL_GRID = [
             ["search", "--group", group, "--size", "1"],
         )
     ),
+    # C(16384, 8000) candidates: thousands of digits, stated by bit length
+    ["search", "--group", ",".join(["2"] * 14), "--size", "8000"],
 ]
 
 

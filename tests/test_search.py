@@ -123,6 +123,17 @@ def test_search_candidate_count_is_exact():
                         extremal_search(g, d, objective)
 
 
+def test_refusals_state_estimates_past_the_int_print_limit_by_bit_length():
+    # C(19683, 9000) and 2 << 15000 have thousands of digits, more than
+    # Python turns into a string; the refusal states a power of 2 below each.
+    with pytest.raises(ApxError, match=r"over at least 2\^19571 candidates .* at least 2\^19585 bits"):
+        extremal_search(make_group([3] * 9), 9000, "t3density")
+    with pytest.raises(ApxError, match=r"15000 orbits .* needs at least 2\^15001 bytes"):
+        t3_cube(make_group([15000]))
+    assert group._spell_count(10**18 - 1) == "999999999999999999"
+    assert group._spell_count(10**18) == "at least 2^59"
+
+
 def test_witness_cap():
     rep = extremal_search(make_group([13]), 2, "prob", witness_cap=2)
     assert len(rep.witnesses) <= 2
