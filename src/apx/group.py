@@ -121,7 +121,9 @@ class GroupSpec:
         return tuple(out)
 
     def _check_index(self, a: int) -> None:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
+        if not isinstance(a, (int, np.integer)) or isinstance(a, bool):
+            raise ValueError(f"element index {a!r} is not an integer")
+        if not 0 <= a < self.order:
             raise ValueError(f"element index {a!r} out of range [0, {self.order})")
 
 

@@ -38,7 +38,7 @@ def _key(key) -> str:
     raise TypeError(f"cannot use a {type(key).__name__} as a JSON object key")
 
 
-def _write_members(members: list, out: list[str], spelled: dict) -> None:
+def _write_members(members: list, out: list[str]) -> None:
     """Write (spelled key, value) pairs as an object sorted by key."""
     members.sort(key=itemgetter(0))
     out.append("{")
@@ -49,7 +49,7 @@ def _write_members(members: list, out: list[str], spelled: dict) -> None:
             out.append(",")
         out.append(json.dumps(key))
         out.append(":")
-        _write_json(value, out, spelled)
+        _write_json(value, out)
     out.append("}")
 
 
@@ -67,15 +67,12 @@ def _field_keys(cls) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _spell_fraction(f: Fraction, spelled: dict) -> str:
-    """The JSON of f, memoized by id: the writer reads only values the report holds."""
-    text = spelled.get(id(f))
-    if text is None:
-        text = spelled[id(f)] = f'"{f.numerator}/{f.denominator}"'
-    return text
+def _spell_fraction(f: Fraction) -> str:
+    """The JSON of f: its "p/q" string."""
+    return f'"{f.numerator}/{f.denominator}"'
 
 
-def _spell_equalities(table: Lemma2Equalities, _) -> str:
+def _spell_equalities(table: Lemma2Equalities) -> str:
     """The JSON of tuple(table), written from its int rows.
 
     Each alpha, eta and rhs is spelled once, alpha' = r / (a_den k e) is
@@ -100,16 +97,15 @@ def _spell_equalities(table: Lemma2Equalities, _) -> str:
 
 # Leaves by exact type; bool, numpy scalars and subclasses take the isinstance chain.
 _EXACT = {
-    str: lambda s, _: json.dumps(s), int: lambda i, _: str(i), Fraction: _spell_fraction,
-    Lemma2Equalities: _spell_equalities,
+    str: json.dumps, int: str, Fraction: _spell_fraction, Lemma2Equalities: _spell_equalities,
 }
 
 
-def _write_json(obj, out: list[str], spelled: dict) -> None:
-    """Append the canonical JSON of a report object to out; spelled is a memo."""
+def _write_json(obj, out: list[str]) -> None:
+    """Append the canonical JSON of a report object to out."""
     spell = _EXACT.get(type(obj))
     if spell is not None:
-        out.append(spell(obj, spelled))
+        out.append(spell(obj))
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -121,7 +117,7 @@ def _write_json(obj, out: list[str], spelled: dict) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, Fraction):
-        out.append(_spell_fraction(obj, spelled))
+        out.append(_spell_fraction(obj))
     elif isinstance(obj, (float, np.floating)):
         obj = float(obj)
         if obj != obj or obj in (float("inf"), float("-inf")):
@@ -130,24 +126,19 @@ def _write_json(obj, out: list[str], spelled: dict) -> None:
     elif isinstance(obj, (GroupSpec, SubsetMask)):
         out.append(json.dumps(obj.label))
     elif isinstance(obj, dict):
-        _write_members([(_key(k), v) for k, v in obj.items()], out, spelled)
+        _write_members([(_key(k), v) for k, v in obj.items()], out)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out.append("{")
         for name, prefix in _field_keys(type(obj)):
             out.append(prefix)
-            value = getattr(obj, name)
-            spell = _EXACT.get(type(value))
-            if spell is None:
-                _write_json(value, out, spelled)
-            else:
-                out.append(spell(value, spelled))
+            _write_json(getattr(obj, name), out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
-            _write_json(item, out, spelled)
+            _write_json(item, out)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -156,7 +147,7 @@ def _write_json(obj, out: list[str], spelled: dict) -> None:
 def report_json(report) -> str:
     """Canonical JSON of a report: sorted keys, stable number format."""
     out: list[str] = []
-    _write_json(report, out, {})
+    _write_json(report, out)
     return "".join(out)
 
 

@@ -69,6 +69,14 @@ def _symmetric_bits(fixed: np.ndarray, pairs: np.ndarray, d: int):
                 yield bits
 
 
+def _symmetric_count(fixed: int, pairs: int, d: int) -> int:
+    """Masks _symmetric_bits yields at size d: k fixed points and (d - k) / 2 pairs."""
+    return sum(
+        comb(fixed, k) * comb(pairs, (d - k) // 2)
+        for k in range(max(d & 1, d - 2 * pairs), min(fixed, d) + 1, 2)  # where both fit
+    )
+
+
 @dataclass
 class SearchReport:
     group: GroupSpec
@@ -120,10 +128,7 @@ def extremal_search(
     else:
         raise ValueError(f"objective must be 'prob' or 't3density', got {objective!r}")
     bound = closure_bound(profile.q, profile.alpha, gamma0)
-    count = sum(  # k fixed points and (d - k) / 2 pairs, where both fit
-        comb(fixed_count, k) * comb(pair_count, (d - k) // 2)
-        for k in range(max(d & 1, d - 2 * pair_count), min(fixed_count, d) + 1, 2)
-    )
+    count = _symmetric_count(fixed_count, pair_count, d)
     bits = count * max(n, _ceilings._SEARCH_CALL_BITS)
     what = f"{objective} search over {_spell_count(count)} candidates at size {d}"
     _require(group, what, (bits, "bits to decode", _ceilings._MAX_SEARCH_BITS))
@@ -220,23 +225,19 @@ class SuiteReport:
     failures: list[SuiteCase]
 
 
-def _size_index(fixed: int, pairs: int):
-    """(|S| of every cell of a cube over fixed singletons then pairs, cells per size).
+def _size_index(fixed: int, pairs: int) -> np.ndarray:
+    """|S| of every cell of a cube over fixed singletons then pairs, as uint8.
 
-    |S| is the popcount of the fixed bits plus twice that of the pair bits,
-    as uint8: an outer sum of the popcounts of the pair bits and of the two
-    halves of the fixed bits, high part outermost, so no O(cells) index
-    array is built. The cells per size are the convolution of the parts'
-    histograms.
+    |S| is the popcount of the fixed bits plus twice that of the pair bits:
+    an outer sum of the popcounts of the pair bits and of the two halves of
+    the fixed bits, high part outermost, so no O(cells) index array is built.
     """
     low = fixed // 2
     parts = [
         np.bitwise_count(np.arange(1 << width, dtype=np.uint32)) * np.uint8(scale)
         for width, scale in ((pairs, 2), (fixed - low, 1), (low, 1))
     ]
-    size = reduce(np.add.outer, parts).reshape(-1)
-    cells = reduce(np.convolve, [np.bincount(part) for part in parts])
-    return size, cells
+    return reduce(np.add.outer, parts).reshape(-1)
 
 
 def _reversed_bits(values: np.ndarray, width: int) -> np.ndarray:
@@ -250,7 +251,7 @@ def _reversed_bits(values: np.ndarray, width: int) -> np.ndarray:
 def _cube_rows(cube: np.ndarray, orbits):
     """(d, maximum, witness label, cells) of every size d that has cells, by d.
 
-    Row 0 is the empty set, which the bound suites skip.
+    Row 0 is the empty set, which the bound suites skip; cells is _symmetric_count.
 
     orbits lists the singleton orbits (fixed) first, then the pairs, in
     the bit order of the cube. The witness is the maximizer that
@@ -265,8 +266,8 @@ def _cube_rows(cube: np.ndarray, orbits):
     """
     fixed = sum(len(orbit) == 1 for orbit in orbits)
     pairs = len(orbits) - fixed
-    size, cells = _size_index(fixed, pairs)
-    maxima = np.zeros(cells.size, dtype=cube.dtype)
+    size = _size_index(fixed, pairs)
+    maxima = np.zeros(fixed + 2 * pairs + 1, dtype=cube.dtype)
     np.maximum.at(maxima, size, cube)
     ties = np.flatnonzero(cube == maxima[size])
     fixed_part = ties & ((1 << fixed) - 1)
@@ -282,7 +283,8 @@ def _cube_rows(cube: np.ndarray, orbits):
     rows = []
     for d, winner in zip(tie_sizes[last].tolist(), ties[last].tolist()):
         elements = (e for i, orbit in enumerate(orbits) if winner >> i & 1 for e in orbit)
-        rows.append((d, int(maxima[d]), set_label(sorted(elements)), int(cells[d])))
+        cells = _symmetric_count(fixed, pairs, d)
+        rows.append((d, int(maxima[d]), set_label(sorted(elements)), cells))
     return rows
 
 

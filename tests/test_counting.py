@@ -536,14 +536,29 @@ def test_from_indices_and_is_symmetric_match_scalar_definitions(g, data):
 
 def test_from_indices_rejects_bad_indices_in_order():
     g = make_group([6])
-    for indices, bad in [
-        ([1, True], "True"), ([1, 2.0], "2.0"), ([-1], "-1"), ([0, 6], "6"),
-        ([7, False], "7"), (["3"], "'3'"), ([np.int64(1)], r"np.int64\(1\)"),
+    for indices, bad, why in [
+        ([1, True], "True", "is not an integer"), ([1, 2.0], "2.0", "is not an integer"),
+        ([-1], "-1", r"out of range \[0, 6\)"), ([0, 6], "6", r"out of range \[0, 6\)"),
+        ([7, False], "7", r"out of range \[0, 6\)"), (["3"], "'3'", "is not an integer"),
+        ([np.int64(6)], r"np.int64\(6\)", r"out of range \[0, 6\)"),
+        ([np.bool_(True)], r"np.True_", "is not an integer"),
     ]:
-        with pytest.raises(ValueError, match=rf"^element index {bad} out of range \[0, 6\)$"):
+        with pytest.raises(ValueError, match=rf"^element index {bad} {why}$"):
             SubsetMask.from_indices(g, indices)
     assert SubsetMask.from_indices(g, iter([5, 1, 5])).bits == 0b100010
     assert SubsetMask.from_indices(g, []).bits == 0
+
+
+def test_from_indices_takes_numpy_indices():
+    g = make_group([5])
+    assert SubsetMask.from_indices(g, np.array([1, 4])) == SubsetMask.from_indices(g, [1, 4])
+    assert SubsetMask.from_indices(g, [np.uint8(3), 0]).bits == 0b1001
+    # Another mask's elems and orbit_split's arrays build masks as they are.
+    s = SubsetMask.from_indices(make_group([2, 6]), [1, 3, 11])
+    fixed, pairs = orbit_split(s.group)
+    for indices in (s.elems, fixed, pairs):
+        rebuilt = SubsetMask.from_indices(s.group, indices.reshape(-1))
+        assert rebuilt.indices() == tuple(sorted(indices.reshape(-1).tolist()))
 
 
 # cayley_triangles_direct against the dense int64 reference in conftest.

@@ -82,6 +82,11 @@ class _Name(str):
         return "not the text"
 
 
+class _Ratio(Fraction):
+    def __str__(self):
+        return "not p/q"
+
+
 @dataclass
 class _Mixed:
     flag: bool
@@ -93,6 +98,7 @@ class _Mixed:
     missing: object
     buckets: dict
     group: object
+    ratio: _Ratio
 
 
 def test_report_json_spells_every_leaf_type_as_before():
@@ -102,15 +108,37 @@ def test_report_json_spells_every_leaf_type_as_before():
     mixed = _Mixed(
         True, np.int64(-7), np.float64(0.1), _Count(12), _Name('a"b'), Fraction(-3, 9),
         None, {10: Fraction(1, 2), 2: [False, _Count(3)], -1: {"x": _Name("y")}},
-        make_group([2, 6]),
+        make_group([2, 6]), _Ratio(2, 4),
     )
     doc = (
         '{"buckets":{"-1":{"x":"y"},"10":"1/2","2":[false,3]},"count":-7,"flag":true,'
-        '"group":"2,6","missing":null,"name":"a\\"b","share":0.1,"tally":12,"value":"-1/3"}'
+        '"group":"2,6","missing":null,"name":"a\\"b","ratio":"1/2","share":0.1,"tally":12,'
+        '"value":"-1/3"}'
     )
     assert report_json(mixed) == doc
-    # A Fraction shared by several records is spelled once and reused.
+    # One Fraction object written at several places reads the same each time.
     assert report_json([mixed, mixed.value, mixed.value]) == f'[{doc},"-1/3","-1/3"]'
-    for bad in (np.bool_(True), _Mixed(np.bool_(False), *[None] * 8)):
+    for bad in (np.bool_(True), _Mixed(np.bool_(False), *[None] * 9)):
         with pytest.raises(TypeError, match="bool"):
             report_json(bad)
+
+
+class _FreshFractions(tuple):
+    """Makes each item as it is read; the writer then holds the only reference."""
+
+    def __iter__(self):
+        return (Fraction(i, 7) for i in range(1, 6))
+
+
+class _FreshRecords(tuple):
+    def __iter__(self):
+        return ({"v": Fraction(i, 7)} for i in range(1, 6))
+
+
+def test_report_json_spells_each_fresh_fraction_by_its_value():
+    # A freed Fraction's id() can be handed to the next one, so no spelling
+    # may be looked up by id.
+    assert report_json(_FreshFractions()) == '["1/7","2/7","3/7","4/7","5/7"]'
+    assert report_json(_FreshRecords()) == (
+        '[{"v":"1/7"},{"v":"2/7"},{"v":"3/7"},{"v":"4/7"},{"v":"5/7"}]'
+    )
