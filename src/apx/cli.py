@@ -422,7 +422,7 @@ _COMMANDS = {
         lambda r: not r.failures, _theorem2_text, cases_csv, 15,
     ),
     "theorem1": _Command(
-        "progression density, odd orders",
+        "progression density, odd orders (in Z2^2, S = {0,1,2} has T3 = 9 = |S|^2)",
         (*_COMMON, _MAX_ORDER, _THREADS),
         lambda a, c: verify_theorem1(c.max_order, threads=c.threads),
         lambda r: not r.failures, _theorem1_text, cases_csv, 15,

@@ -409,15 +409,12 @@ def _cube(group: GroupSpec, orbits, triples) -> np.ndarray:
     return cube
 
 
-def t3_cube(group: GroupSpec) -> np.ndarray:
-    """direct_t3 of every subset at once: cube[s.bits] == direct_t3(s)."""
-    require_cube(group, group.order)
+def t3_cube(group: GroupSpec, orbits) -> np.ndarray:
+    """direct_t3 of every union of orbits at once, bit i for orbits[i] as in closure_cube."""
+    require_cube(group, len(orbits))
     x = np.arange(group.order)
     sums = pair_sums(group, x, x)  # its diagonal holds 2x
-    return _cube(
-        group, [(e,) for e in range(group.order)],
-        (x[:, None], sums, pair_sums(group, x, sums.diagonal())),
-    )
+    return _cube(group, orbits, (x[:, None], sums, pair_sums(group, x, sums.diagonal())))
 
 
 def closure_cube(group: GroupSpec, orbits) -> np.ndarray:

@@ -32,6 +32,7 @@ from .group import (
     _MAX_FFT_BYTES,
     GroupSpec,
     _factors,
+    _prime_factorization,
     _require,
     make_group,
     orbit_split,
@@ -42,11 +43,26 @@ from .util import as_fraction
 # exact ties is ~1e-16 * n, far below this.
 _TIE_TOLERANCE = 1e-12
 
+# Work bytes per element of an axis that pocketfft may transform by
+# Bluestein's algorithm: one whose length m has a prime factor p, p * p > m.
+# tracemalloc does not see them. On prime axes of 131,071 to 1,048,573
+# elements a child's peak RSS (getrusage) rose by 129-134 bytes per element
+# past the output (numpy 2.4.6, 2-CPU VM); 144 is nine complex128 per element.
+_BLUESTEIN_BYTES = 144
+
 
 def dft_indicator(s: SubsetMask) -> np.ndarray:
-    """Read-only Fourier coefficients of 1_S, in the shared mixed-radix order."""
-    _require(s.group, "spectrum", (32 * s.group.order, "bytes", _MAX_FFT_BYTES))
+    """Read-only Fourier coefficients of 1_S, in the shared mixed-radix order.
+
+    The estimate is 32 n bytes, the complex128 input and output, plus
+    _BLUESTEIN_BYTES per element of the longest Bluestein axis.
+    """
+    n = s.group.order
+    _require(s.group, "spectrum", (32 * n, "bytes", _MAX_FFT_BYTES))  # so axes <= 2^23 are factored
     shape = tuple(reversed(_factors(s.group)))  # a Z_1 axis would only cost time
+    bluestein = (m for m in shape if m > 1 and _prime_factorization(m)[-1][0] ** 2 > m)
+    extra = _BLUESTEIN_BYTES * max(bluestein, default=0)
+    _require(s.group, "spectrum", (32 * n + extra, "bytes", _MAX_FFT_BYTES))
     shaped = s.memb.astype(np.complex128).reshape(shape)
     coeffs = np.fft.fftn(shaped, norm="forward").reshape(-1)
     coeffs.setflags(write=False)

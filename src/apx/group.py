@@ -39,7 +39,9 @@ _MAX_TABLE_BYTES = 1 << 26
 # most 24 orbits (2^24 subsets).
 _MAX_CUBE_BYTES = 1 << 25
 
-# Largest spectrum, 32 n bytes of complex128 in and out: every order orbit_split admits.
+# Largest spectrum, 32 n bytes of complex128 in and out plus pocketfft's
+# Bluestein buffers (fourier._BLUESTEIN_BYTES): every order orbit_split admits
+# whose axes have no prime factor past their square root.
 _MAX_FFT_BYTES = 1 << 28
 
 # Largest input polynomial the square route of pair_route squares: 2^23

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations
 from math import comb
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -171,33 +171,53 @@ def extremal_search(
 _POOL_MIN_CELLS = 1 << 21
 
 
-def _sweep(task, max_order: int, threads: int, orbits, odd_only: bool = False):
-    """Run a per-group case function over every group up to max_order.
-
-    task must pickle (a module-level function or a partial of one) for
-    threads > 1. orbits(group) is the orbit count of the group's cube;
-    every cube is checked against the ceiling before the first group runs.
-    A sweep of fewer than _POOL_MIN_CELLS cells in all runs in-process;
-    a larger one sends the groups to the pool largest cube first.
-    Returns the group count and all cases in group order.
+class _Suite(NamedTuple):
+    """What _sweep runs: orbits(group) lists the bits of the cube that
+    cube(group, orbits) scores, and case(group, *row) turns each _cube_rows
+    row from first_row on into a SuiteCase. The parts are module-level
+    functions or partials, so a suite pickles for pmap; each verify function
+    builds its suite when called.
     """
-    lowest = 3 if odd_only else 2
+
+    orbits: Callable
+    cube: Callable
+    case: Callable
+    first_row: int  # row 0 is the empty set
+    odd_only: bool
+
+
+def _sweep(suite: _Suite, max_order: int, threads: int):
+    """Run suite on every group up to max_order; return the group count and
+    all cases in group order.
+
+    Each group's orbit list is built once: its cube is checked against the
+    ceiling before the first group runs, and the list goes to _group_cases
+    with the group. Under _POOL_MIN_CELLS cells in all, a sweep runs
+    in-process; a larger one sends the groups to the pool largest cube first.
+    """
+    lowest = 3 if suite.odd_only else 2
     if max_order < lowest:
         raise ValueError(f"max_order must be >= {lowest}")
-    groups = enumerate_abelian_groups(max_order)
-    if odd_only:
-        groups = [g for g in groups if g.order % 2 == 1]
-    cells = []
-    for group in groups:
-        count = orbits(group)
-        require_cube(group, count)
-        cells.append(1 << count)
+    jobs = []
+    for group in enumerate_abelian_groups(max_order):
+        if group.order % 2 == 1 or not suite.odd_only:
+            orbits = suite.orbits(group)
+            require_cube(group, len(orbits))
+            jobs.append((group, orbits))
+    cells = [1 << len(orbits) for _, orbits in jobs]
     if sum(cells) < _POOL_MIN_CELLS:
         threads = 1
-    largest_first = sorted(range(len(groups)), key=cells.__getitem__, reverse=True)
-    results = pmap(task, [groups[i] for i in largest_first], threads)
+    largest_first = sorted(range(len(jobs)), key=cells.__getitem__, reverse=True)
+    results = pmap(partial(_group_cases, suite), [jobs[i] for i in largest_first], threads)
     chunks = dict(zip(largest_first, results))
-    return len(groups), [case for i in range(len(groups)) for case in chunks[i]]
+    return len(jobs), [case for i in range(len(jobs)) for case in chunks[i]]
+
+
+def _group_cases(suite: _Suite, job) -> list[SuiteCase]:
+    """The cases of one (group, orbits) job: one per row of its cube."""
+    group, orbits = job
+    rows = _cube_rows(suite.cube(group, orbits), orbits)
+    return [suite.case(group, *row) for row in rows[suite.first_row:]]
 
 
 @dataclass
@@ -294,6 +314,11 @@ def _symmetric_orbits(group: GroupSpec, zero: bool = True):
     return [(x,) for x in fixed.tolist() if zero or x != 0] + list(map(tuple, pairs.tolist()))
 
 
+def _singleton_orbits(group: GroupSpec):
+    """Every element its own orbit: a cube over all subsets."""
+    return [(x,) for x in range(group.order)]
+
+
 # ---------------------------------------------------------------------------
 # Suite: sum-closure bound over every group and size (theorem2).
 # ---------------------------------------------------------------------------
@@ -313,32 +338,23 @@ class Theorem2Report(SuiteReport):
     worst_gap: Fraction | None
 
 
-def _theorem2_group_cases(group: GroupSpec, gamma0) -> list[Theorem2Case]:
-    n = group.order
-    orbits = _symmetric_orbits(group)
-    out = []
-    rows = _cube_rows(closure_cube(group, orbits), orbits)
-    for d, count, witness, _ in rows[1:]:
-        profile = size_profile(n, d)
-        high = Fraction(count, d * d)
-        bound = closure_bound(profile.q, profile.alpha, gamma0).value
-        out.append(
-            Theorem2Case(
-                group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
-                witness=witness, max_value=high, bound=bound, gap=bound - high,
-            )
-        )
-    return out
+def _theorem2_case(group: GroupSpec, d, count, witness, _, gamma0) -> Theorem2Case:
+    profile = size_profile(group.order, d)
+    high = Fraction(count, d * d)
+    bound = closure_bound(profile.q, profile.alpha, gamma0).value
+    return Theorem2Case(
+        group=group.label, order=group.order, d=d, q=profile.q, alpha=profile.alpha,
+        witness=witness, max_value=high, bound=bound, gap=bound - high,
+    )
 
 
 def verify_theorem2(
     max_order: int = 15, gamma0=GAMMA0, threads: int = 1
 ) -> Theorem2Report:
     """Exhaustively check max Prob[S] <= closure_bound for every (group, d)."""
-    groups, cases = _sweep(
-        partial(_theorem2_group_cases, gamma0=gamma0), max_order, threads,
-        lambda g: sum(orbit_counts(g)),
-    )
+    case = partial(_theorem2_case, gamma0=gamma0)
+    suite = _Suite(_symmetric_orbits, closure_cube, case, first_row=1, odd_only=False)
+    groups, cases = _sweep(suite, max_order, threads)
     return Theorem2Report(
         max_order=max_order,
         gamma0=gamma0,
@@ -372,22 +388,15 @@ class Theorem1Report(SuiteReport):
         return [case for case in self.cases if case.regime == "gamma1"]
 
 
-def _theorem1_group_cases(group: GroupSpec) -> list[Theorem1Case]:
-    n = group.order
-    orbits = [(x,) for x in range(n)]
-    out = []
-    for d, count, witness, _ in _cube_rows(t3_cube(group), orbits)[1:]:
-        profile = size_profile(n, d)
-        high = Fraction(count, d * d)
-        bound = closure_bound(profile.q, profile.alpha, None).value
-        out.append(
-            Theorem1Case(
-                group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
-                witness=witness, max_density=high, term_bound=bound,
-                regime="algebraic" if high <= bound else "gamma1",
-            )
-        )
-    return out
+def _theorem1_case(group: GroupSpec, d, count, witness, _) -> Theorem1Case:
+    profile = size_profile(group.order, d)
+    high = Fraction(count, d * d)
+    bound = closure_bound(profile.q, profile.alpha, None).value
+    return Theorem1Case(
+        group=group.label, order=group.order, d=d, q=profile.q, alpha=profile.alpha,
+        witness=witness, max_density=high, term_bound=bound,
+        regime="algebraic" if high <= bound else "gamma1",
+    )
 
 
 def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
@@ -397,9 +406,8 @@ def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
     algebraic branches pass that way; the rest feed the reported empirical
     constant (None when no case needs one, the situation at desk scale).
     """
-    groups, cases = _sweep(
-        _theorem1_group_cases, max_order, threads, lambda g: g.order, odd_only=True
-    )
+    suite = _Suite(_singleton_orbits, t3_cube, _theorem1_case, first_row=1, odd_only=True)
+    groups, cases = _sweep(suite, max_order, threads)
     gamma1_densities = [c.max_density for c in cases if c.regime == "gamma1"]
     return Theorem1Report(
         max_order=max_order,
@@ -434,25 +442,18 @@ class GlsReport(SuiteReport):
     logged: list[GlsCase]
 
 
-def _gls_group_cases(group: GroupSpec) -> list[GlsCase]:
+def _gls_case(group: GroupSpec, d, count, witness, sets) -> GlsCase:
     """Triangles of a 0-free symmetric S are n * sum_closure_count(S) / 6."""
     n = group.order
-    orbits = _symmetric_orbits(group, zero=False)
-    out = []
-    rows = _cube_rows(closure_cube(group, orbits), orbits)
-    for d, count, witness, sets in rows:
-        max_triangles = n * count // 6
-        bound = gls_bound(n, d)
-        profile = size_profile(n, d + 1)
-        out.append(
-            GlsCase(
-                group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
-                witness=witness, sets=sets, max_triangles=max_triangles,
-                bound=bound, regime="asserted" if profile.q >= 7 else "logged",
-                holds=max_triangles <= bound,
-            )
-        )
-    return out
+    max_triangles = n * count // 6
+    bound = gls_bound(n, d)
+    profile = size_profile(n, d + 1)
+    return GlsCase(
+        group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
+        witness=witness, sets=sets, max_triangles=max_triangles,
+        bound=bound, regime="asserted" if profile.q >= 7 else "logged",
+        holds=max_triangles <= bound,
+    )
 
 
 def verify_gls(max_order: int = 16, threads: int = 1) -> GlsReport:
@@ -462,10 +463,9 @@ def verify_gls(max_order: int = 16, threads: int = 1) -> GlsReport:
     Cases with q >= 7 are asserted (the proven regime); smaller q is outside
     it, so those cases are only logged with their empirical outcome.
     """
-    groups, cases = _sweep(
-        _gls_group_cases, max_order, threads,
-        lambda g: sum(orbit_counts(g)) - 1,  # all but the orbit of 0
-    )
+    orbits = partial(_symmetric_orbits, zero=False)  # all but the orbit of 0
+    suite = _Suite(orbits, closure_cube, _gls_case, first_row=0, odd_only=False)
+    groups, cases = _sweep(suite, max_order, threads)
     return GlsReport(
         max_order=max_order,
         groups=groups,

@@ -27,7 +27,7 @@ from apx import (
 from apx import counting, group
 from apx.counting import closure_cube, t3_cube
 from apx.group import _MAX_CUBE_BYTES, _sum_kernel, orbit_split
-from apx.search import _symmetric_bits, _symmetric_orbits
+from apx.search import _singleton_orbits, _symmetric_bits, _symmetric_orbits
 
 from conftest import (
     add,
@@ -298,9 +298,9 @@ def union(g, orbits, m):
 def test_t3_cube_matches_direct_t3(g, data):
     if 2 << g.order > _MAX_CUBE_BYTES:
         with pytest.raises(ApxError, match="subset cube"):
-            t3_cube(g)
+            t3_cube(g, _singleton_orbits(g))
         return
-    cube = t3_cube(g)
+    cube = t3_cube(g, _singleton_orbits(g))
     assert cube.size == 1 << g.order
     bits = data.draw(st.integers(0, cube.size - 1))
     assert cube[bits] == direct_t3(SubsetMask(g, bits))
@@ -334,7 +334,7 @@ def test_cubes_on_edge_groups():
             for m in range(0, cube.size, max(1, cube.size >> 9)):
                 assert cube[m] == sum_closure_count(union(g, orbits, m))
         if 2 << g.order <= _MAX_CUBE_BYTES:
-            cube = t3_cube(g)
+            cube = t3_cube(g, _singleton_orbits(g))
             for bits in range(0, cube.size, max(1, cube.size >> 9)):
                 assert cube[bits] == direct_t3(SubsetMask(g, bits))
 

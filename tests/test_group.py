@@ -20,7 +20,6 @@ from apx.group import (
     parse_group,
     require_pair_sums,
 )
-from apx.search import _symmetric_orbits
 
 from conftest import add, add_table, dilation_perm, halve, index, neg, units
 
@@ -255,8 +254,23 @@ def test_index_map_and_spectrum_each_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # Every order whose orbit split fits, cyclic orders up to 2^23, transforms.
+    # Every order whose orbit split fits (cyclic orders up to 2^23) and whose
+    # axes take no Bluestein buffers transforms.
     assert 32 * (_MAX_TABLE_BYTES // 8) <= _MAX_FFT_BYTES
+
+
+def test_spectrum_of_a_bluestein_axis_refuses_before_allocating():
+    # 2^23 - 1 = 47 x 178,481 passes 32 n, but pocketfft takes its one axis
+    # by Bluestein's algorithm, whose buffers reached 1.4 GB of RSS: the
+    # estimate is 32 + 144 bytes per element.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ApxError, match=r"spectrum .* needs 1476394832 bytes \(ceiling"):
+            dft_indicator(SubsetMask(make_group([2**23 - 1]), 0b110))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_orbit_split_memory_stays_within_its_negation():
@@ -286,12 +300,10 @@ def test_orbit_split_matches_scalar_negation():
 
 
 def test_orbit_counts_match_the_orbit_split_to_order_48():
-    # The sweeps size their cubes from the closed form, without the split.
+    # extremal_search counts its candidates from the closed form, without the split.
     for g in enumerate_abelian_groups(48):
         fixed, pairs = orbit_split(g)
         assert orbit_counts(g) == (len(fixed), len(pairs))
-        assert sum(orbit_counts(g)) == len(_symmetric_orbits(g))
-        assert sum(orbit_counts(g)) - 1 == len(_symmetric_orbits(g, zero=False))
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from apx import (
     cayley_triangles_direct,
     closure_bound,
     direct_prob,
+    direct_t3,
     enumerate_abelian_groups,
     gls_bound,
     extremal_search,
@@ -31,14 +32,20 @@ from apx.group import orbit_split
 from apx.report import report_json
 from apx.search import (
     _cube_rows,
-    _gls_group_cases,
+    _group_cases,
+    _singleton_orbits,
     _symmetric_bits,
     _symmetric_orbits,
-    _theorem1_group_cases,
-    _theorem2_group_cases,
 )
 
 from conftest import orbit_sizes, reference_cube_rows
+
+
+def suite_of(verify):
+    """The suite a verify function hands to the one sweep driver."""
+    with mock.patch.object(search, "_sweep", wraps=search._sweep) as sweep:
+        verify(3)
+    return sweep.call_args.args[0]
 
 
 def symmetric_brute(g, d):
@@ -128,8 +135,9 @@ def test_refusals_state_estimates_past_the_int_print_limit_by_bit_length():
     # Python turns into a string; the refusal states a power of 2 below each.
     with pytest.raises(ApxError, match=r"over at least 2\^19571 candidates .* at least 2\^19585 bits"):
         extremal_search(make_group([3] * 9), 9000, "t3density")
+    z15000 = make_group([15000])
     with pytest.raises(ApxError, match=r"15000 orbits .* needs at least 2\^15001 bytes"):
-        t3_cube(make_group([15000]))
+        t3_cube(z15000, _singleton_orbits(z15000))
     assert group._spell_count(10**18 - 1) == "999999999999999999"
     assert group._spell_count(10**18) == "at least 2^59"
 
@@ -162,6 +170,14 @@ def test_verify_theorem1_small():
     assert z5d3.term_bound == Fraction(7, 9)
     assert z5d3.regime == "algebraic"
     assert rep.empirical_gamma1 is None or rep.empirical_gamma1 < 1
+
+
+def test_theorem1_density_reaches_one_at_even_order():
+    # Why the suite runs on odd orders only: in Z2^2 every y has 2y = 0, so
+    # each x, x + y in S gives the progression (x, x + y, x): T3 = |S|^2.
+    s = SubsetMask.from_indices(make_group([2, 2]), [0, 1, 2])
+    assert direct_t3(s) == 9 == s.size**2
+    assert Fraction(direct_t3(s), s.size**2) > GAMMA0
 
 
 def test_verify_gls_small():
@@ -216,13 +232,13 @@ def test_search_matches_the_suite_cubes():
     # extremal_search scores each candidate with a per-set oracle and the
     # suites read the whole-subset cube; both keep the first maximizer in
     # candidate order, and a size class holds what the search enumerates.
+    theorem2, theorem1 = suite_of(verify_theorem2), suite_of(verify_theorem1)
     for g in enumerate_abelian_groups(11):
         n = g.order
-        objectives = [("prob", _symmetric_orbits(g), _theorem2_group_cases(g, GAMMA0))]
-        if n % 2:
-            orbits = [(x,) for x in range(n)]
-            objectives.append(("t3density", orbits, _theorem1_group_cases(g)))
-        for objective, orbits, cases in objectives:
+        objectives = [("prob", theorem2)] + ([("t3density", theorem1)] if n % 2 else [])
+        for objective, suite in objectives:
+            orbits = suite.orbits(g)
+            cases = _group_cases(suite, (g, orbits))
             assert [c.d for c in cases] == list(range(1, n + 1))
             sizes = orbit_sizes(orbits)
             for case in cases:
@@ -246,8 +262,8 @@ def test_cube_rows_match_the_per_size_reference_on_real_cubes():
     for n in range(1, 16, 2):
         for g in enumerate_abelian_groups(n):
             if g.order == n:
-                orbits = [(x,) for x in range(n)]
-                cube = t3_cube(g)
+                orbits = _singleton_orbits(g)
+                cube = t3_cube(g, orbits)
                 assert _cube_rows(cube, orbits) == reference_cube_rows(g, cube, orbits)
 
 
@@ -282,10 +298,11 @@ def first_maximum(g, candidates, evaluate):
 
 
 def test_suite_cases_match_the_reference_sweep():
+    suite = suite_of(verify_gls)
     for g in enumerate_abelian_groups(11):
         n = g.order
         fixed, pairs = orbit_split(g)
-        gls = {case.d: case for case in _gls_group_cases(g)}
+        gls = {case.d: case for case in _group_cases(suite, (g, suite.orbits(g)))}
         nonzero = fixed[fixed != 0]
         for d in range(n):
             best, witness, sets = first_maximum(
@@ -297,6 +314,35 @@ def test_suite_cases_match_the_reference_sweep():
             case = gls[d]
             assert (case.max_triangles, case.witness, case.sets) == (best, witness, sets)
             assert case.bound == gls_bound(n, d)
+
+
+def test_each_sweep_budgets_the_one_orbit_list_its_cube_scores():
+    # Per group and sweep: one orbit list is built, the budget is asked for
+    # its length, and the cube the group then scores has that many bits.
+    def recorder(log, fn, value):
+        def record(group, *args, **kwargs):
+            result = fn(group, *args, **kwargs)
+            log.append((group.label, value(args, result)))
+            return result
+        return record
+
+    for verify in (verify_theorem2, verify_theorem1, verify_gls):
+        built, budgets, widths = [], [], []
+        with (
+            mock.patch.object(search, "_symmetric_orbits", recorder(
+                built, _symmetric_orbits, lambda args, result: len(result))),
+            mock.patch.object(search, "_singleton_orbits", recorder(
+                built, _singleton_orbits, lambda args, result: len(result))),
+            mock.patch.object(search, "require_cube", recorder(
+                budgets, require_cube, lambda args, result: args[0])),
+            mock.patch.object(search, "closure_cube", recorder(
+                widths, closure_cube, lambda args, result: result.size.bit_length() - 1)),
+            mock.patch.object(search, "t3_cube", recorder(
+                widths, t3_cube, lambda args, result: result.size.bit_length() - 1)),
+        ):
+            report = verify(16)
+        assert len(built) == len({label for label, _ in built}) == report.groups
+        assert sorted(budgets) == sorted(widths) == sorted(built)
 
 
 def test_search_at_size_1_builds_no_orbit_table():
