@@ -512,11 +512,15 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in _COMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
         if argv is not None and name not in argv:
+            # Help and the invalid-choice error read only the name and its
+            # help, so no parser is built for it.
+            sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), spec.help))
+            sub._name_parser_map[name] = None
             if name == "verify":
                 break  # its suites are all that follow
             continue
+        p = sub.add_parser(name, help=spec.help)
         for flag, kwargs in spec.args:
             p.add_argument(flag, **kwargs)
         if name == "verify":

@@ -382,25 +382,27 @@ def require_cube(group: GroupSpec, orbits: int) -> None:
     _require(group, f"subset cube over {orbits} orbits", (2 << orbits, "bytes", _MAX_CUBE_BYTES))
 
 
-def _cube(group: GroupSpec, orbits, triples) -> np.ndarray:
-    """Count the element triples inside every union of orbits.
+def _cube(group: GroupSpec, orbits, pins, triples) -> np.ndarray:
+    """Count the element triples inside every union of orbits with the pins.
 
-    Bit i of a cube index stands for orbits[i] (a tuple of elements). Each
-    triple adds 1 to the cell of the orbits it touches; a triple touching
-    an element in no orbit counts nowhere. One in-place subset-sum (zeta)
-    pass per bit then turns cell m into the number of triples inside m
+    Bit i of a cube index stands for orbits[i] (a tuple of elements); the
+    pinned elements are in every set, with bit 0. Each triple adds 1 to the
+    cell of the orbits it touches; a triple touching an element in no orbit
+    and no pin counts nowhere. One in-place subset-sum (zeta) pass per bit
+    then turns cell m into the number of triples inside m and the pins
     (Yates 1937). Cells are uint16: two elements of a triple fix the third,
-    so a cell is at most m^2 for the m elements the orbits cover.
+    so a cell is at most m^2 for the m elements the orbits and pins cover.
     """
-    covered = sum(len(orbit) for orbit in orbits)
+    covered = len(pins) + sum(len(orbit) for orbit in orbits)
     if covered * covered >= 1 << 16:
         raise ValueError(f"orbits cover {covered} elements; uint16 cells need < 256")
-    bit = np.zeros(group.order, dtype=np.int64)
+    bit = np.full(group.order, -1, dtype=np.int64)  # -1: in no set
+    bit[list(pins)] = 0
     for i, orbit in enumerate(orbits):
         bit[list(orbit)] = 1 << i
     a, b, c = (bit[t] for t in triples)
-    inside = (a != 0) & (b != 0) & (c != 0)
-    masks, counts = np.unique((a | b | c)[inside], return_counts=True)
+    masks = a | b | c  # negative when any element is in no set
+    masks, counts = np.unique(masks[masks >= 0], return_counts=True)
     cube = np.zeros(1 << len(orbits), dtype=np.uint16)
     cube[masks] = counts
     for i in range(len(orbits)):
@@ -409,21 +411,21 @@ def _cube(group: GroupSpec, orbits, triples) -> np.ndarray:
     return cube
 
 
-def t3_cube(group: GroupSpec, orbits) -> np.ndarray:
-    """direct_t3 of every union of orbits at once, bit i for orbits[i] as in closure_cube."""
+def t3_cube(group: GroupSpec, orbits, pins=()) -> np.ndarray:
+    """direct_t3 of every union of orbits with the pins, laid out as in closure_cube."""
     require_cube(group, len(orbits))
     x = np.arange(group.order)
     sums = pair_sums(group, x, x)  # its diagonal holds 2x
-    return _cube(group, orbits, (x[:, None], sums, pair_sums(group, x, sums.diagonal())))
+    return _cube(group, orbits, pins, (x[:, None], sums, pair_sums(group, x, sums.diagonal())))
 
 
-def closure_cube(group: GroupSpec, orbits) -> np.ndarray:
-    """sum_closure_count of every union of orbits at once.
+def closure_cube(group: GroupSpec, orbits, pins=()) -> np.ndarray:
+    """sum_closure_count of every union of orbits with the pins, at once.
 
-    orbits are disjoint element tuples. cube[m] is sum_closure_count of the
-    union of the orbits whose bit is set in m (bit i for orbits[i]);
-    elements in no orbit are in no set.
+    orbits are disjoint element tuples, and pins a tuple of other elements.
+    cube[m] is sum_closure_count of the pins and the orbits whose bit is
+    set in m (bit i for orbits[i]); elements in neither are in no set.
     """
     require_cube(group, len(orbits))
     x = np.arange(group.order)
-    return _cube(group, orbits, (x[:, None], x[None, :], pair_sums(group, x, x)))
+    return _cube(group, orbits, pins, (x[:, None], x[None, :], pair_sums(group, x, x)))

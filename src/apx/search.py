@@ -37,6 +37,7 @@ from .counting import (
 from .errors import OddOrderRequiredError
 from .group import (
     GroupSpec,
+    _prime_factorization,
     _require,
     _spell_count,
     enumerate_abelian_groups,
@@ -165,24 +166,26 @@ def extremal_search(
 
 # Fewest subset-cube cells a sweep must score before it starts a process
 # pool: below this, starting the workers costs more than they save. Fitted
-# on a 2-CPU VM, where a 2-worker pool took 1.22x the serial time on
-# theorem1 19 (699,562 cells) and 1.31x on theorem2 31 (527,978), and
-# 0.91x on theorem1 21 (2,796,714).
-_POOL_MIN_CELLS = 1 << 21
+# on a 2-CPU VM, where a 2-worker pool took 1.6x the serial time on the
+# theorem1 23 plan (3,328,948 cells) and 1.2x on one cube per group there
+# (11,185,322), but 0.62x on the theorem1 25 plan (28,494,773).
+_POOL_MIN_CELLS = 1 << 24
 
 
 class _Suite(NamedTuple):
-    """What _sweep runs: orbits(group) lists the bits of the cube that
-    cube(group, orbits) scores, and case(group, *row) turns each _cube_rows
-    row from first_row on into a SuiteCase. The parts are module-level
-    functions or partials, so a suite pickles for pmap; each verify function
-    builds its suite when called.
+    """What _sweep runs. orbits(group) lists the group's orbits, and
+    plan(group, orbits) splits their cube into pieces (pins, free orbits):
+    cube(group, free, pins) scores the sets that hold the pins. case(group,
+    *row) turns each merged row of size first_size and up into a SuiteCase.
+    The parts are module-level functions or partials, so a suite pickles
+    for pmap; each verify function builds its suite when called.
     """
 
     orbits: Callable
+    plan: Callable
     cube: Callable
     case: Callable
-    first_row: int  # row 0 is the empty set
+    first_size: int  # size 0, the empty set, is a row of an unpinned cube
     odd_only: bool
 
 
@@ -190,21 +193,23 @@ def _sweep(suite: _Suite, max_order: int, threads: int):
     """Run suite on every group up to max_order; return the group count and
     all cases in group order.
 
-    Each group's orbit list is built once: its cube is checked against the
-    ceiling before the first group runs, and the list goes to _group_cases
-    with the group. Under _POOL_MIN_CELLS cells in all, a sweep runs
-    in-process; a larger one sends the groups to the pool largest cube first.
+    Each group's orbit list is built once: its plan's widest piece is
+    checked against the ceiling before the first group runs, and the list
+    goes to _group_cases with the group. Under _POOL_MIN_CELLS plan cells in
+    all, a sweep runs in-process; a larger one sends the groups to the pool
+    largest plan first.
     """
     lowest = 3 if suite.odd_only else 2
     if max_order < lowest:
         raise ValueError(f"max_order must be >= {lowest}")
-    jobs = []
+    jobs, cells = [], []
     for group in enumerate_abelian_groups(max_order):
         if group.order % 2 == 1 or not suite.odd_only:
             orbits = suite.orbits(group)
-            require_cube(group, len(orbits))
+            widths = [len(free) for _, free in suite.plan(group, orbits)]
+            require_cube(group, max(widths))
             jobs.append((group, orbits))
-    cells = [1 << len(orbits) for _, orbits in jobs]
+            cells.append(sum(1 << width for width in widths))
     if sum(cells) < _POOL_MIN_CELLS:
         threads = 1
     largest_first = sorted(range(len(jobs)), key=cells.__getitem__, reverse=True)
@@ -214,10 +219,21 @@ def _sweep(suite: _Suite, max_order: int, threads: int):
 
 
 def _group_cases(suite: _Suite, job) -> list[SuiteCase]:
-    """The cases of one (group, orbits) job: one per row of its cube."""
+    """The cases of one (group, orbits) job: one per merged row of its plan."""
     group, orbits = job
-    rows = _cube_rows(suite.cube(group, orbits), orbits)
-    return [suite.case(group, *row) for row in rows[suite.first_row:]]
+    rows = _plan_rows(suite.cube, group, suite.plan(group, orbits))
+    return [suite.case(group, *row) for row in rows if row[0] >= suite.first_size]
+
+
+def _plan_rows(cube: Callable, group: GroupSpec, pieces):
+    """The _cube_rows of every piece, merged by size: the largest maximum,
+    with the row of the first piece that reaches it."""
+    best = {}
+    for pins, orbits in pieces:
+        for row in _cube_rows(cube(group, orbits, pins), orbits, pins):
+            if row[0] not in best or row[1] > best[row[0]][1]:
+                best[row[0]] = row
+    return [best[d] for d in sorted(best)]
 
 
 @dataclass
@@ -260,18 +276,24 @@ def _size_index(fixed: int, pairs: int) -> np.ndarray:
     return reduce(np.add.outer, parts).reshape(-1)
 
 
+_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)])
+
+
 def _reversed_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """The low width bits of each value in reverse order."""
+    """The low width bits of each value in reverse order: each byte is
+    looked up reversed, lowest byte highest, and the padding shifted out."""
     reversed_ = np.zeros_like(values)
-    for i in range(width):
-        reversed_ |= ((values >> i) & 1) << (width - 1 - i)
-    return reversed_
+    for low in range(0, width, 8):
+        reversed_ = (reversed_ << 8) | _BYTE_REVERSED[(values >> low) & 255]
+    return reversed_ >> (-width % 8)
 
 
-def _cube_rows(cube: np.ndarray, orbits):
+def _cube_rows(cube: np.ndarray, orbits, pins=()):
     """(d, maximum, witness label, cells) of every size d that has cells, by d.
 
-    Row 0 is the empty set, which the bound suites skip; cells is _symmetric_count.
+    The pins are in every set: d and the label count them, and cells is
+    _symmetric_count of the orbits at d - len(pins). Without pins, row 0 is
+    the empty set, which the bound suites skip.
 
     orbits lists the singleton orbits (fixed) first, then the pairs, in
     the bit order of the cube. The witness is the maximizer that
@@ -303,8 +325,8 @@ def _cube_rows(cube: np.ndarray, orbits):
     rows = []
     for d, winner in zip(tie_sizes[last].tolist(), ties[last].tolist()):
         elements = (e for i, orbit in enumerate(orbits) if winner >> i & 1 for e in orbit)
-        cells = _symmetric_count(fixed, pairs, d)
-        rows.append((d, int(maxima[d]), set_label(sorted(elements)), cells))
+        label = set_label(sorted([*pins, *elements]))
+        rows.append((d + len(pins), int(maxima[d]), label, _symmetric_count(fixed, pairs, d)))
     return rows
 
 
@@ -317,6 +339,27 @@ def _symmetric_orbits(group: GroupSpec, zero: bool = True):
 def _singleton_orbits(group: GroupSpec):
     """Every element its own orbit: a cube over all subsets."""
     return [(x,) for x in range(group.order)]
+
+
+def _whole_cube(group: GroupSpec, orbits):
+    """One piece with no pins: the plan of a score that translation changes."""
+    return [((), orbits)]
+
+
+def _theorem1_plan(group: GroupSpec, orbits):
+    """Pieces of the all-subsets cube (orbits (0,), (1,), ...) that hold the
+    first maximizer of T3 at every size.
+
+    T3 is invariant under translation and automorphisms of G. If the first
+    maximizer S in combinations order missed 0, S minus its least element
+    would be an earlier one; so pin 0. On Z_p^r, GL(r, p) maps the second
+    element of S to 1, which would again be earlier if it were above 1; so
+    pin {0, 1}, and score the size 1 apart.
+    """
+    p = group.moduli[0]
+    if set(group.moduli) == {p} and _prime_factorization(p) == [(p, 1)]:
+        return [((0,), []), ((0, 1), orbits[2:])]
+    return [((0,), orbits[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +396,9 @@ def verify_theorem2(
 ) -> Theorem2Report:
     """Exhaustively check max Prob[S] <= closure_bound for every (group, d)."""
     case = partial(_theorem2_case, gamma0=gamma0)
-    suite = _Suite(_symmetric_orbits, closure_cube, case, first_row=1, odd_only=False)
+    suite = _Suite(
+        _symmetric_orbits, _whole_cube, closure_cube, case, first_size=1, odd_only=False
+    )
     groups, cases = _sweep(suite, max_order, threads)
     return Theorem2Report(
         max_order=max_order,
@@ -406,7 +451,9 @@ def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
     algebraic branches pass that way; the rest feed the reported empirical
     constant (None when no case needs one, the situation at desk scale).
     """
-    suite = _Suite(_singleton_orbits, t3_cube, _theorem1_case, first_row=1, odd_only=True)
+    suite = _Suite(
+        _singleton_orbits, _theorem1_plan, t3_cube, _theorem1_case, first_size=1, odd_only=True
+    )
     groups, cases = _sweep(suite, max_order, threads)
     gamma1_densities = [c.max_density for c in cases if c.regime == "gamma1"]
     return Theorem1Report(
@@ -464,7 +511,7 @@ def verify_gls(max_order: int = 16, threads: int = 1) -> GlsReport:
     it, so those cases are only logged with their empirical outcome.
     """
     orbits = partial(_symmetric_orbits, zero=False)  # all but the orbit of 0
-    suite = _Suite(orbits, closure_cube, _gls_case, first_row=0, odd_only=False)
+    suite = _Suite(orbits, _whole_cube, closure_cube, _gls_case, first_size=0, odd_only=False)
     groups, cases = _sweep(suite, max_order, threads)
     return GlsReport(
         max_order=max_order,
