@@ -385,20 +385,20 @@ def require_cube(group: GroupSpec, orbits: int) -> None:
 def _cube(group: GroupSpec, orbits, pins, triples) -> np.ndarray:
     """Count the element triples inside every union of orbits with the pins.
 
-    Bit i of a cube index stands for orbits[i] (a tuple of elements); the
-    pinned elements are in every set, with bit 0. Each triple adds 1 to the
-    cell of the orbits it touches; a triple touching an element in no orbit
-    and no pin counts nowhere. One in-place subset-sum (zeta) pass per bit
-    then turns cell m into the number of triples inside m and the pins
-    (Yates 1937). Cells are uint16: two elements of a triple fix the third,
-    so a cell is at most m^2 for the m elements the orbits and pins cover.
+    Bit len(orbits) - 1 - i of a cube index stands for orbits[i] (a tuple
+    of elements); the pinned elements are in every set, with bit 0. Each
+    triple adds 1 to the cell of the orbits it touches; a triple touching an
+    element in no orbit and no pin counts nowhere. One in-place subset-sum
+    (zeta) pass per bit then turns cell m into the number of triples inside
+    m and the pins (Yates 1937). Cells are uint16: two elements of a triple
+    fix the third, so a cell is at most m^2 for the m elements covered.
     """
     covered = len(pins) + sum(len(orbit) for orbit in orbits)
     if covered * covered >= 1 << 16:
         raise ValueError(f"orbits cover {covered} elements; uint16 cells need < 256")
     bit = np.full(group.order, -1, dtype=np.int64)  # -1: in no set
     bit[list(pins)] = 0
-    for i, orbit in enumerate(orbits):
+    for i, orbit in enumerate(reversed(orbits)):
         bit[list(orbit)] = 1 << i
     a, b, c = (bit[t] for t in triples)
     masks = a | b | c  # negative when any element is in no set
@@ -424,7 +424,8 @@ def closure_cube(group: GroupSpec, orbits, pins=()) -> np.ndarray:
 
     orbits are disjoint element tuples, and pins a tuple of other elements.
     cube[m] is sum_closure_count of the pins and the orbits whose bit is
-    set in m (bit i for orbits[i]); elements in neither are in no set.
+    set in m (bit len(orbits) - 1 - i for orbits[i]); elements in neither
+    are in no set.
     """
     require_cube(group, len(orbits))
     x = np.arange(group.order)

@@ -61,6 +61,10 @@ _MAX_CAYLEY_WORDS = 1 << 29
 _SEARCH_CALL_BITS = 1 << 13
 _MAX_SEARCH_BITS = 1 << 33
 
+# Most symmetric sequences lemma1.bruteforce_scan may check: about 2.6 us
+# each at radius 8 on a 2-CPU VM, so 2^23 is about 20-30 s.
+_MAX_LEMMA1_SEQUENCES = 1 << 23
+
 # Not a ceiling: the bytes of one temporary in the blocked kernels (Cayley, lemma2, lemma1).
 _BLOCK_BYTES = 1 << 20
 

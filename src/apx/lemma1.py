@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ApxError, SymmetryRequiredError
-from .group import _BLOCK_BYTES
+from .group import _BLOCK_BYTES, _MAX_LEMMA1_SEQUENCES, _spell_count
 from .util import as_fraction, pmap
 
 
@@ -192,6 +192,22 @@ def _scan_center(a0: int, d_max: int, radius: int, eps: Fraction):
     return checked, violations
 
 
+def _sequence_count(d_max: int, radius: int) -> int:
+    """Sum over a0 <= d_max of C(radius + (d_max - a0) // 2, radius): the
+    symmetric sequences a scan covers, the all-zero one included.
+
+    Each b = (d_max - a0) // 2 <= B = d_max // 2 comes from two a0, and
+    b = B from one when d_max is even, so by the hockey-stick identity the
+    sum is 2 C(radius + B + 1, B) less C(radius + B, B) for even d_max.
+    Past min(radius, B) = 64 it is over C(radius + B, B) >= 2^min(radius, B),
+    and 2^64 stands for it, so no comb of a huge size is taken.
+    """
+    b = d_max // 2
+    if min(radius, b) > 64:
+        return 1 << 64
+    return 2 * math.comb(radius + b + 1, b) - (d_max % 2 == 0) * math.comb(radius + b, b)
+
+
 def bruteforce_scan(
     d_max: int, radius: int, eps, threads: int = 1
 ) -> Lemma1ScanReport:
@@ -199,11 +215,18 @@ def bruteforce_scan(
     and support inside [-radius, radius].
 
     For eps < 1/10 the violation list must come back empty; larger eps can
-    and does produce counterexamples.
+    and does produce counterexamples. A scan of more than
+    _MAX_LEMMA1_SEQUENCES sequences raises ApxError before any work.
     """
     if d_max < 1 or radius < 0:
         raise ValueError("need d_max >= 1 and radius >= 0")
     eps = _check_eps(eps)
+    count = _sequence_count(d_max, radius)
+    if count > _MAX_LEMMA1_SEQUENCES:
+        raise ApxError(
+            f"the lemma1 scan to d_max {d_max} at radius {radius} needs "
+            f"{_spell_count(count)} sequences (ceiling {_MAX_LEMMA1_SEQUENCES})"
+        )
     worker = partial(_scan_center, d_max=d_max, radius=radius, eps=eps)
     chunks = pmap(worker, range(d_max + 1), threads=threads)
     violations = [v for chunk in chunks for v in chunk[1]]

@@ -173,15 +173,14 @@ _POOL_MIN_CELLS = 1 << 24
 
 
 class _Suite(NamedTuple):
-    """What _sweep runs. orbits(group) lists the group's orbits, and
-    plan(group, orbits) splits their cube into pieces (pins, free orbits):
-    cube(group, free, pins) scores the sets that hold the pins. case(group,
-    *row) turns each merged row of size first_size and up into a SuiteCase.
-    The parts are module-level functions or partials, so a suite pickles
-    for pmap; each verify function builds its suite when called.
+    """What _sweep runs. plan(group) splits the group's cube into pieces
+    (pins, free orbits), and cube(group, free, pins) scores the sets that
+    hold the pins. case(group, *row) turns each merged row of size
+    first_size and up into a SuiteCase. The parts are module-level functions
+    or partials, so a suite pickles for pmap; each verify function builds
+    its suite when called.
     """
 
-    orbits: Callable
     plan: Callable
     cube: Callable
     case: Callable
@@ -193,11 +192,10 @@ def _sweep(suite: _Suite, max_order: int, threads: int):
     """Run suite on every group up to max_order; return the group count and
     all cases in group order.
 
-    Each group's orbit list is built once: its plan's widest piece is
-    checked against the ceiling before the first group runs, and the list
-    goes to _group_cases with the group. Under _POOL_MIN_CELLS plan cells in
-    all, a sweep runs in-process; a larger one sends the groups to the pool
-    largest plan first.
+    Each group is planned once: the widest piece is checked against the
+    ceiling before the first group runs, and the pieces go to _group_cases
+    with the group. Under _POOL_MIN_CELLS plan cells in all, a sweep runs
+    in-process; a larger one sends the groups to the pool largest plan first.
     """
     lowest = 3 if suite.odd_only else 2
     if max_order < lowest:
@@ -205,10 +203,10 @@ def _sweep(suite: _Suite, max_order: int, threads: int):
     jobs, cells = [], []
     for group in enumerate_abelian_groups(max_order):
         if group.order % 2 == 1 or not suite.odd_only:
-            orbits = suite.orbits(group)
-            widths = [len(free) for _, free in suite.plan(group, orbits)]
+            pieces = suite.plan(group)
+            widths = [len(free) for _, free in pieces]
             require_cube(group, max(widths))
-            jobs.append((group, orbits))
+            jobs.append((group, pieces))
             cells.append(sum(1 << width for width in widths))
     if sum(cells) < _POOL_MIN_CELLS:
         threads = 1
@@ -219,9 +217,9 @@ def _sweep(suite: _Suite, max_order: int, threads: int):
 
 
 def _group_cases(suite: _Suite, job) -> list[SuiteCase]:
-    """The cases of one (group, orbits) job: one per merged row of its plan."""
-    group, orbits = job
-    rows = _plan_rows(suite.cube, group, suite.plan(group, orbits))
+    """The cases of one (group, pieces) job: one per merged row of its plan."""
+    group, pieces = job
+    rows = _plan_rows(suite.cube, group, pieces)
     return [suite.case(group, *row) for row in rows if row[0] >= suite.first_size]
 
 
@@ -264,43 +262,29 @@ class SuiteReport:
 def _size_index(fixed: int, pairs: int) -> np.ndarray:
     """|S| of every cell of a cube over fixed singletons then pairs, as uint8.
 
-    |S| is the popcount of the fixed bits plus twice that of the pair bits:
-    an outer sum of the popcounts of the pair bits and of the two halves of
-    the fixed bits, high part outermost, so no O(cells) index array is built.
+    |S| is the popcount of the fixed bits, which are the high ones, plus
+    twice that of the pair bits: an outer sum of small popcount tables, high
+    part outermost, so no O(cells) index array is built.
     """
     low = fixed // 2
     parts = [
         np.bitwise_count(np.arange(1 << width, dtype=np.uint32)) * np.uint8(scale)
-        for width, scale in ((pairs, 2), (fixed - low, 1), (low, 1))
+        for width, scale in ((fixed - low, 1), (low, 1), (pairs, 2))
     ]
     return reduce(np.add.outer, parts).reshape(-1)
 
 
-_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)])
-
-
-def _reversed_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """The low width bits of each value in reverse order: each byte is
-    looked up reversed, lowest byte highest, and the padding shifted out."""
-    reversed_ = np.zeros_like(values)
-    for low in range(0, width, 8):
-        reversed_ = (reversed_ << 8) | _BYTE_REVERSED[(values >> low) & 255]
-    return reversed_ >> (-width % 8)
-
-
 def _cube_rows(cube: np.ndarray, orbits, pins=()):
-    """(d, maximum, witness label, cells) of every size d that has cells, by d.
+    """(d, maximum, witness label) of every size d that has cells, by d.
 
-    The pins are in every set: d and the label count them, and cells is
-    _symmetric_count of the orbits at d - len(pins). Without pins, row 0 is
-    the empty set, which the bound suites skip.
+    The pins are in every set: d and the label count them. Without pins,
+    row 0 is the empty set, which the bound suites skip.
 
-    orbits lists the singleton orbits (fixed) first, then the pairs, in
-    the bit order of the cube. The witness is the maximizer that
+    orbits lists the singleton orbits (fixed) first, then the pairs, laid
+    out as in _cube (orbits[0] highest). The witness is the maximizer that
     _symmetric_bits(fixed, pairs, d) meets first: the one with the fewest
-    fixed orbits, then the largest bit-reversed fixed part, then the
-    largest bit-reversed pair part. With singletons only, that order is
-    combinations order.
+    fixed orbits, then the highest cube index, which it meets first among
+    sets of one size and fixed count. With singletons, combinations order.
 
     One pass over the cube: the maxima of all sizes in one reduction, the
     tied cells of all sizes found at once, and one sort of the ties by
@@ -312,21 +296,19 @@ def _cube_rows(cube: np.ndarray, orbits, pins=()):
     maxima = np.zeros(fixed + 2 * pairs + 1, dtype=cube.dtype)
     np.maximum.at(maxima, size, cube)
     ties = np.flatnonzero(cube == maxima[size])
-    fixed_part = ties & ((1 << fixed) - 1)
     key = (
         (size[ties].astype(np.int64) << 32)
-        | ((fixed - np.bitwise_count(fixed_part).astype(np.int64)) << len(orbits))
-        | (_reversed_bits(fixed_part, fixed) << pairs)
-        | _reversed_bits(ties >> fixed, pairs)
+        | ((fixed - np.bitwise_count(ties >> pairs).astype(np.int64)) << len(orbits))
+        | ties
     )
     ties = ties[np.argsort(key)]
     tie_sizes = size[ties]
     last = np.append(tie_sizes[1:] != tie_sizes[:-1], True)
-    rows = []
+    rows, top = [], len(orbits) - 1
     for d, winner in zip(tie_sizes[last].tolist(), ties[last].tolist()):
-        elements = (e for i, orbit in enumerate(orbits) if winner >> i & 1 for e in orbit)
+        elements = (e for i, orbit in enumerate(orbits) if winner >> top - i & 1 for e in orbit)
         label = set_label(sorted([*pins, *elements]))
-        rows.append((d + len(pins), int(maxima[d]), label, _symmetric_count(fixed, pairs, d)))
+        rows.append((d + len(pins), int(maxima[d]), label))
     return rows
 
 
@@ -341,13 +323,14 @@ def _singleton_orbits(group: GroupSpec):
     return [(x,) for x in range(group.order)]
 
 
-def _whole_cube(group: GroupSpec, orbits):
-    """One piece with no pins: the plan of a score that translation changes."""
-    return [((), orbits)]
+def _whole_cube(orbits: Callable, group: GroupSpec):
+    """One piece, orbits(group) with no pins: the plan of a score that
+    translation changes."""
+    return [((), orbits(group))]
 
 
-def _theorem1_plan(group: GroupSpec, orbits):
-    """Pieces of the all-subsets cube (orbits (0,), (1,), ...) that hold the
+def _theorem1_plan(group: GroupSpec):
+    """Pieces of the all-subsets cube (_singleton_orbits) that hold the
     first maximizer of T3 at every size.
 
     T3 is invariant under translation and automorphisms of G. If the first
@@ -356,7 +339,7 @@ def _theorem1_plan(group: GroupSpec, orbits):
     element of S to 1, which would again be earlier if it were above 1; so
     pin {0, 1}, and score the size 1 apart.
     """
-    p = group.moduli[0]
+    orbits, p = _singleton_orbits(group), group.moduli[0]
     if set(group.moduli) == {p} and _prime_factorization(p) == [(p, 1)]:
         return [((0,), []), ((0, 1), orbits[2:])]
     return [((0,), orbits[1:])]
@@ -381,7 +364,7 @@ class Theorem2Report(SuiteReport):
     worst_gap: Fraction | None
 
 
-def _theorem2_case(group: GroupSpec, d, count, witness, _, gamma0) -> Theorem2Case:
+def _theorem2_case(group: GroupSpec, d, count, witness, gamma0) -> Theorem2Case:
     profile = size_profile(group.order, d)
     high = Fraction(count, d * d)
     bound = closure_bound(profile.q, profile.alpha, gamma0).value
@@ -396,9 +379,8 @@ def verify_theorem2(
 ) -> Theorem2Report:
     """Exhaustively check max Prob[S] <= closure_bound for every (group, d)."""
     case = partial(_theorem2_case, gamma0=gamma0)
-    suite = _Suite(
-        _symmetric_orbits, _whole_cube, closure_cube, case, first_size=1, odd_only=False
-    )
+    plan = partial(_whole_cube, _symmetric_orbits)
+    suite = _Suite(plan, closure_cube, case, first_size=1, odd_only=False)
     groups, cases = _sweep(suite, max_order, threads)
     return Theorem2Report(
         max_order=max_order,
@@ -433,7 +415,7 @@ class Theorem1Report(SuiteReport):
         return [case for case in self.cases if case.regime == "gamma1"]
 
 
-def _theorem1_case(group: GroupSpec, d, count, witness, _) -> Theorem1Case:
+def _theorem1_case(group: GroupSpec, d, count, witness) -> Theorem1Case:
     profile = size_profile(group.order, d)
     high = Fraction(count, d * d)
     bound = closure_bound(profile.q, profile.alpha, None).value
@@ -451,9 +433,7 @@ def verify_theorem1(max_order: int = 15, threads: int = 1) -> Theorem1Report:
     algebraic branches pass that way; the rest feed the reported empirical
     constant (None when no case needs one, the situation at desk scale).
     """
-    suite = _Suite(
-        _singleton_orbits, _theorem1_plan, t3_cube, _theorem1_case, first_size=1, odd_only=True
-    )
+    suite = _Suite(_theorem1_plan, t3_cube, _theorem1_case, first_size=1, odd_only=True)
     groups, cases = _sweep(suite, max_order, threads)
     gamma1_densities = [c.max_density for c in cases if c.regime == "gamma1"]
     return Theorem1Report(
@@ -489,15 +469,19 @@ class GlsReport(SuiteReport):
     logged: list[GlsCase]
 
 
-def _gls_case(group: GroupSpec, d, count, witness, sets) -> GlsCase:
-    """Triangles of a 0-free symmetric S are n * sum_closure_count(S) / 6."""
+def _gls_case(group: GroupSpec, d, count, witness) -> GlsCase:
+    """Triangles of a 0-free symmetric S are n * sum_closure_count(S) / 6.
+
+    sets counts the group's 0-free symmetric d-sets, whatever the plan.
+    """
     n = group.order
+    fixed, pairs = orbit_counts(group)
     max_triangles = n * count // 6
     bound = gls_bound(n, d)
     profile = size_profile(n, d + 1)
     return GlsCase(
-        group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha,
-        witness=witness, sets=sets, max_triangles=max_triangles,
+        group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha, witness=witness,
+        sets=_symmetric_count(fixed - 1, pairs, d), max_triangles=max_triangles,
         bound=bound, regime="asserted" if profile.q >= 7 else "logged",
         holds=max_triangles <= bound,
     )
@@ -510,8 +494,8 @@ def verify_gls(max_order: int = 16, threads: int = 1) -> GlsReport:
     Cases with q >= 7 are asserted (the proven regime); smaller q is outside
     it, so those cases are only logged with their empirical outcome.
     """
-    orbits = partial(_symmetric_orbits, zero=False)  # all but the orbit of 0
-    suite = _Suite(orbits, _whole_cube, closure_cube, _gls_case, first_size=0, odd_only=False)
+    plan = partial(_whole_cube, partial(_symmetric_orbits, zero=False))  # all but 0's orbit
+    suite = _Suite(plan, closure_cube, _gls_case, first_size=0, odd_only=False)
     groups, cases = _sweep(suite, max_order, threads)
     return GlsReport(
         max_order=max_order,

@@ -4,6 +4,7 @@ from functools import lru_cache
 import numpy as np
 
 from apx import SubsetMask, make_group
+from apx.search import _symmetric_bits
 
 
 def mask(moduli, indices):
@@ -134,51 +135,31 @@ def table_t3(s):
 
 
 def orbit_sizes(orbits):
-    """|S| of every orbit mask: the total size of the orbits whose bit is set."""
+    """|S| of every orbit mask: the total size of the orbits whose bit is set,
+    orbits[i] at bit len(orbits) - 1 - i."""
     sizes = np.zeros(1, dtype=np.uint8)
-    for orbit in orbits:
+    for orbit in reversed(orbits):
         sizes = np.concatenate([sizes, sizes + len(orbit)])
     return sizes
 
 
-def reversed_bits(values, width):
-    """(the low width bits of each value in reverse order, their popcount)."""
-    reversed_ = np.zeros_like(values)
-    count = np.zeros_like(values)
-    for i in range(width):
-        bit = (values >> i) & 1
-        reversed_ |= bit << (width - 1 - i)
-        count += bit
-    return reversed_, count
-
-
 def reference_cube_rows(group, cube, orbits):
-    """(d, maximum, witness label, cells) of every size d with cells, size by size.
+    """(d, maximum, witness label) of every size d with cells, size by size.
 
-    Each size scans the whole cube for its cells, takes their maximum, and
-    keeps the tied cell with the fewest fixed orbits, then the largest
-    bit-reversed fixed part, then the largest bit-reversed pair part.
+    Each size walks its candidates in _symmetric_bits order (fixed orbits
+    first in orbits, then pairs), reads each one's cell, orbits[i] at bit
+    len(orbits) - 1 - i, and keeps the first maximizer it meets.
     """
-    fixed = sum(len(orbit) == 1 for orbit in orbits)
-    pairs = len(orbits) - fixed
-    size = orbit_sizes(orbits)
+    fixed = np.array([orbit[0] for orbit in orbits if len(orbit) == 1], dtype=np.int64)
+    pairs = np.array([orbit for orbit in orbits if len(orbit) == 2], dtype=np.int64)
+    top = len(orbits) - 1
     rows = []
-    for d in range(int(size.max()) + 1):
-        cells = np.flatnonzero(size == d)
-        if cells.size == 0:
-            continue
-        values = cube[cells]
-        best = values.max()
-        ties = cells[values == best]
-        fixed_reversed, fixed_count = reversed_bits(ties & ((1 << fixed) - 1), fixed)
-        pairs_reversed, _ = reversed_bits(ties >> fixed, pairs)
-        key = (
-            ((fixed - fixed_count) << len(orbits))
-            | (fixed_reversed << pairs)
-            | pairs_reversed
-        )
-        winner = int(ties[np.argmax(key)])
-        elements = (e for i, orbit in enumerate(orbits) if winner >> i & 1 for e in orbit)
-        label = SubsetMask.from_indices(group, elements).label
-        rows.append((d, int(best), label, cells.size))
+    for d in range(sum(map(len, orbits)) + 1):
+        best = witness = None
+        for bits in _symmetric_bits(fixed, pairs.reshape(-1, 2), d):
+            cell = sum(1 << top - i for i, orbit in enumerate(orbits) if bits >> orbit[0] & 1)
+            if best is None or cube[cell] > best:
+                best, witness = int(cube[cell]), bits
+        if best is not None:
+            rows.append((d, best, SubsetMask(group, witness).label))
     return rows

@@ -239,6 +239,11 @@ def test_verify_lemma1_eps_out_of_range_exits_2(capsys, eps):
     assert code == 2 and out == "" and "eps must lie in [0, 1)" in err
 
 
+def test_verify_lemma1_refuses_oversized_scans_with_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "lemma1", "--d-max", "100", "--radius", "20")
+    assert code == 2 and out == "" and "needs 932763668722933476 sequences" in err
+
+
 @pytest.mark.parametrize("gamma0,code", [("1e400", 2), ("3/2", 0)])
 def test_verify_lemma2_gamma0_must_fit_a_float(capsys, gamma0, code):
     argv = ("--q-max", "2", "--alpha-steps", "3", "--eta-steps", "2", "--gamma0", gamma0)

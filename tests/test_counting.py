@@ -288,8 +288,10 @@ groups = st.one_of(
 
 
 def union(g, orbits, m):
+    """The set of cube index m: orbits[i] is at bit len(orbits) - 1 - i."""
+    top = len(orbits) - 1
     return SubsetMask.from_indices(
-        g, [e for i, orbit in enumerate(orbits) if m >> i & 1 for e in orbit]
+        g, [e for i, orbit in enumerate(orbits) if m >> top - i & 1 for e in orbit]
     )
 
 
@@ -300,10 +302,11 @@ def test_t3_cube_matches_direct_t3(g, data):
         with pytest.raises(ApxError, match="subset cube"):
             t3_cube(g, _singleton_orbits(g))
         return
-    cube = t3_cube(g, _singleton_orbits(g))
+    orbits = _singleton_orbits(g)
+    cube = t3_cube(g, orbits)
     assert cube.size == 1 << g.order
-    bits = data.draw(st.integers(0, cube.size - 1))
-    assert cube[bits] == direct_t3(SubsetMask(g, bits))
+    m = data.draw(st.integers(0, cube.size - 1))
+    assert cube[m] == direct_t3(union(g, orbits, m))
 
 
 @settings(max_examples=150, deadline=None)
@@ -334,9 +337,10 @@ def test_cubes_on_edge_groups():
             for m in range(0, cube.size, max(1, cube.size >> 9)):
                 assert cube[m] == sum_closure_count(union(g, orbits, m))
         if 2 << g.order <= _MAX_CUBE_BYTES:
-            cube = t3_cube(g, _singleton_orbits(g))
-            for bits in range(0, cube.size, max(1, cube.size >> 9)):
-                assert cube[bits] == direct_t3(SubsetMask(g, bits))
+            orbits = _singleton_orbits(g)
+            cube = t3_cube(g, orbits)
+            for m in range(0, cube.size, max(1, cube.size >> 9)):
+                assert cube[m] == direct_t3(union(g, orbits, m))
 
 
 def test_closure_cube_refuses_cells_past_uint16():

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import comb
 from unittest.mock import patch
 
 import pytest
@@ -15,7 +16,7 @@ from apx import (
     min_product_sum,
 )
 from apx.errors import ApxError
-from apx.lemma1 import _half_tails, _scan_center, _window_triples
+from apx.lemma1 import _half_tails, _scan_center, _sequence_count, _window_triples
 
 
 def test_weight_seq_construction():
@@ -197,3 +198,25 @@ def test_bruteforce_scan_rejects_eps_before_scanning(eps):
     with patch.object(lemma1, "pmap", side_effect=AssertionError("scanned")):
         with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
             bruteforce_scan(5, 1, eps, threads=2)
+
+
+def test_sequence_count_is_the_scans_checked_count_plus_the_zero_sequence():
+    for d_max in range(1, 40):
+        for radius in range(10):
+            count = sum(comb(radius + (d_max - a0) // 2, radius) for a0 in range(d_max + 1))
+            assert _sequence_count(d_max, radius) == count
+    for d_max, radius in [(1, 0), (9, 1), (10, 3), (20, 5)]:
+        report = bruteforce_scan(d_max, radius, Fraction(99, 1000))
+        assert report.checked + 1 == _sequence_count(d_max, radius)
+
+
+def test_bruteforce_scan_refuses_oversized_scans_before_any_work():
+    # d_max 40 at radius 8 is 16,921,905 sequences, about 40 s of scan.
+    with patch.object(lemma1, "pmap", side_effect=AssertionError("scanned")):
+        for d_max, radius, count in [
+            (40, 8, "16921905"),
+            (100, 20, "932763668722933476"),
+            (10**6, 10**6, "at least 2\\^64"),  # a bound, not the exact count
+        ]:
+            with pytest.raises(ApxError, match=rf"d_max {d_max} at radius {radius} needs {count} "):
+                bruteforce_scan(d_max, radius, Fraction(99, 1000))

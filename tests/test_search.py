@@ -1,5 +1,6 @@
 import concurrent.futures
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -34,14 +35,13 @@ from apx.search import (
     _cube_rows,
     _group_cases,
     _plan_rows,
-    _reversed_bits,
     _singleton_orbits,
     _symmetric_bits,
     _symmetric_orbits,
     _theorem1_plan,
 )
 
-from conftest import orbit_sizes, reference_cube_rows, reversed_bits
+from conftest import orbit_sizes, reference_cube_rows
 
 
 def suite_of(verify):
@@ -235,13 +235,14 @@ def test_search_matches_the_suite_cubes():
     # extremal_search scores each candidate with a per-set oracle and the
     # suites read the whole-subset cube; both keep the first maximizer in
     # candidate order, and a size class holds what the search enumerates.
-    theorem2, theorem1 = suite_of(verify_theorem2), suite_of(verify_theorem1)
+    theorem2 = (suite_of(verify_theorem2), _symmetric_orbits)
+    theorem1 = (suite_of(verify_theorem1), _singleton_orbits)
     for g in enumerate_abelian_groups(11):
         n = g.order
         objectives = [("prob", theorem2)] + ([("t3density", theorem1)] if n % 2 else [])
-        for objective, suite in objectives:
-            orbits = suite.orbits(g)
-            cases = _group_cases(suite, (g, orbits))
+        for objective, (suite, orbits_of) in objectives:
+            orbits = orbits_of(g)
+            cases = _group_cases(suite, (g, suite.plan(g)))
             assert [c.d for c in cases] == list(range(1, n + 1))
             sizes = orbit_sizes(orbits)
             for case in cases:
@@ -270,13 +271,6 @@ def test_cube_rows_match_the_per_size_reference_on_real_cubes():
                 assert _cube_rows(cube, orbits) == reference_cube_rows(g, cube, orbits)
 
 
-def test_reversed_bits_match_the_bit_loop():
-    rng = np.random.default_rng(5)
-    for width in range(25):
-        values = rng.integers(0, 1 << 30, size=200)
-        assert np.array_equal(_reversed_bits(values, width), reversed_bits(values, width)[0])
-
-
 def test_theorem1_plan_keeps_the_dense_rows():
     # The pins ({0}, or {0, 1} on Z_p^r) keep every size's maximum and its
     # first maximizer in combinations order, the dense cube's witness. So
@@ -286,11 +280,10 @@ def test_theorem1_plan_keeps_the_dense_rows():
         for g in enumerate_abelian_groups(n):
             if g.order == n:
                 orbits = _singleton_orbits(g)
-                dense = [row[:3] for row in _cube_rows(t3_cube(g, orbits), orbits)[1:]]
-                pinned = _plan_rows(t3_cube, g, _theorem1_plan(g, orbits))
-                assert [row[:3] for row in pinned] == dense
+                dense = _cube_rows(t3_cube(g, orbits), orbits)[1:]
+                assert _plan_rows(t3_cube, g, _theorem1_plan(g)) == dense
                 split = _plan_rows(t3_cube, g, [((0,), orbits[1:]), ((), orbits[1:])])
-                assert [row[:3] for row in split[1:]] == dense
+                assert split[1:] == dense
 
 
 def test_pinning_0_and_1_on_z9_loses_its_subgroup():
@@ -298,11 +291,27 @@ def test_pinning_0_and_1_on_z9_loses_its_subgroup():
     # miss the subgroup {0, 3, 6}: at size 3, T3 = 9 only on its cosets.
     z9 = make_group([9])
     orbits = _singleton_orbits(z9)
-    rows = {row[0]: row for row in _plan_rows(t3_cube, z9, _theorem1_plan(z9, orbits))}
+    rows = {row[0]: row for row in _plan_rows(t3_cube, z9, _theorem1_plan(z9))}
     assert rows[3][1:3] == (9, "{0,3,6}")
     forced = [((0,), []), ((0, 1), orbits[2:])]
     rows = {row[0]: row for row in _plan_rows(t3_cube, z9, forced)}
     assert rows[3][1] < 9
+
+
+def test_split_plans_keep_each_size_maximum_and_set_count():
+    # Split the theorem2 and gls cubes on their first orbit: that orbit
+    # pinned in, and that orbit left out. Every size keeps its maximum and
+    # bound, and every gls case its count of the group's connection sets,
+    # not of its piece's. Only the witness may move to the pinned piece.
+    for verify in (verify_theorem2, verify_gls):
+        suite = suite_of(verify)
+        for g in enumerate_abelian_groups(31):
+            ((_, orbits),) = whole = suite.plan(g)
+            if not 0 < len(orbits) <= 16:
+                continue
+            split = [(orbits[0], orbits[1:]), ((), orbits[1:])]
+            expected = [replace(c, witness="") for c in _group_cases(suite, (g, whole))]
+            assert [replace(c, witness="") for c in _group_cases(suite, (g, split))] == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,7 +349,7 @@ def test_suite_cases_match_the_reference_sweep():
     for g in enumerate_abelian_groups(11):
         n = g.order
         fixed, pairs = orbit_split(g)
-        gls = {case.d: case for case in _group_cases(suite, (g, suite.orbits(g)))}
+        gls = {case.d: case for case in _group_cases(suite, (g, suite.plan(g)))}
         nonzero = fixed[fixed != 0]
         for d in range(n):
             best, witness, sets = first_maximum(
