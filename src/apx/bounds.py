@@ -21,8 +21,9 @@ from functools import partial
 
 import numpy as np
 
+from . import group as _ceilings  # read at call time, so a patched ceiling holds
 from .errors import ApxError, OutOfLemmaRangeError
-from .group import _BLOCK_BYTES
+from .group import _BLOCK_BYTES, _require
 from .util import as_fraction, pmap
 
 GAMMA0 = Fraction(949, 1000)
@@ -395,10 +396,20 @@ def lemma2_scan(
 
     q in [2, q_max], k in [1, q], alpha on alpha_steps points in [0, 1],
     eta on eta_steps points in (3/4, 1]. Violations of <= are returned
-    (expected empty); exact equalities are listed separately.
+    (expected empty); exact equalities are listed separately. A grid past a
+    ceiling on its points, its points at eta = 1, its rhs values or the
+    cells of one alpha row of the screen raises ApxError before any work.
     """
     if q_max < 2 or alpha_steps < 2 or eta_steps < 2:
         raise ValueError("need q_max >= 2 and at least 2 grid points per axis")
+    row = alpha_steps * (q_max * (q_max + 1) // 2 - 1)  # the (q, alpha, k) of one eta
+    _require(
+        None, f"lemma2 scan to q_max {q_max} with {alpha_steps} alpha and {eta_steps} eta steps",
+        (row * eta_steps, "grid points", _ceilings._MAX_LEMMA2_POINTS),
+        (row, "points at eta 1", _ceilings._MAX_LEMMA2_ROW),
+        (alpha_steps * (q_max - 1), "rhs values", _ceilings._MAX_LEMMA2_RHS),
+        (q_max * eta_steps, "screen cells per alpha row", _BLOCK_BYTES // 8),
+    )
     gamma0 = as_fraction(gamma0)
     try:
         float(gamma0)  # the float screen reads it

@@ -61,9 +61,29 @@ _MAX_CAYLEY_WORDS = 1 << 29
 _SEARCH_CALL_BITS = 1 << 13
 _MAX_SEARCH_BITS = 1 << 33
 
-# Most symmetric sequences lemma1.bruteforce_scan may check: about 2.6 us
-# each at radius 8 on a 2-CPU VM, so 2^23 is about 20-30 s.
+# The work of lemma1.bruteforce_scan, on a 2-CPU VM: its symmetric sequences
+# (about 0.8 us each at radius 8, so 2^23 is about 7 s); its centers (25-38
+# us each at radius 0, so 2^20 is about 26-40 s); the (2R + 1)^2 pairs that
+# _window_triples walks (about 0.65 us each, so 2^23 is about 5 s at a 166 MB
+# peak); and its triple terms, sequences times triples (11-32 ns each, so
+# 2^30 is about 12-34 s).
 _MAX_LEMMA1_SEQUENCES = 1 << 23
+_MAX_LEMMA1_CENTERS = 1 << 20
+_MAX_LEMMA1_PAIRS = 1 << 23
+_MAX_LEMMA1_TERMS = 1 << 30
+
+# The work of bounds.lemma2_scan, on a 2-CPU VM: its grid points (2-27 ns
+# each off eta = 1, where the envelope and screen clear most, so 2^28 is
+# about 0.5-7 s); its points at eta = 1, which at gamma0 >= 1 are all
+# adjudicated exactly and kept as equality rows (about 2.9 us and 125 bytes
+# each: 2^20 took 3 s at a 158 MB peak); and its rhs values, one Fraction per
+# (q, alpha) that the report keeps (about 500 bytes each with their
+# identity-line rows, so 2^17 fit the table ceiling: 0.9 s at a 98 MB
+# peak). One alpha row of the screen, q_max * eta_steps cells, must fit one
+# _BLOCK_BYTES block of int64.
+_MAX_LEMMA2_POINTS = 1 << 28
+_MAX_LEMMA2_ROW = 1 << 20
+_MAX_LEMMA2_RHS = 1 << 17
 
 # Not a ceiling: the bytes of one temporary in the blocked kernels (Cayley, lemma2, lemma1).
 _BLOCK_BYTES = 1 << 20
@@ -78,16 +98,18 @@ def _spell_count(n: int) -> str:
     return str(n) if n < 10**18 else f"at least 2^{n.bit_length() - 1}"
 
 
-def _require(group: GroupSpec, what: str, *costs, refuse: bool = True) -> bool:
+def _require(group: GroupSpec | None, what: str, *costs, refuse: bool = True) -> bool:
     """Whether every (estimate, unit, ceiling) of costs is within its ceiling.
 
-    When one is not and refuse is set, raise ApxError stating every estimate.
+    When one is not and refuse is set, raise ApxError stating every estimate
+    (and the group, unless the work has none, like the lemma scans).
     """
     fits = all(estimate <= ceiling for estimate, _, ceiling in costs)
     if fits or not refuse:
         return fits
+    of = "" if group is None else f" of group {group.label} (order {group.order})"
     raise ApxError(
-        f"the {what} of group {group.label} (order {group.order}) needs "
+        f"the {what}{of} needs "
         + " and ".join(f"{_spell_count(e)} {unit} (ceiling {c})" for e, unit, c in costs)
     )
 

@@ -13,12 +13,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
+from . import group as _ceilings  # read at call time, so a patched ceiling holds
 from .errors import ApxError, SymmetryRequiredError
-from .group import _BLOCK_BYTES, _MAX_LEMMA1_SEQUENCES, _spell_count
+from .group import _BLOCK_BYTES, _require
 from .util import as_fraction, pmap
 
 
@@ -132,16 +133,6 @@ class Lemma1ScanReport:
     violations: list[Lemma1Check]
 
 
-def _half_tails(radius: int, budget: int):
-    """All (a_1, ..., a_radius) with sum <= budget."""
-    if radius == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _half_tails(radius - 1, budget - first):
-            yield (first,) + rest
-
-
 def _window_triples(radius: int):
     """The pairs (i, j) of min_product_sum with i + j inside the window.
 
@@ -160,35 +151,39 @@ def _window_triples(radius: int):
     return x, y, z, np.array(list(groups.values()), dtype=np.int64)
 
 
-def _scan_center(a0: int, d_max: int, radius: int, eps: Fraction):
-    """Check every symmetric sequence with center a0 and total <= d_max.
+def _scan_center(centers: range, d_max: int, radius: int, eps: Fraction):
+    """Check every symmetric sequence with its center in centers and total <= d_max.
 
-    Each chunk of tails is stacked into an int64 matrix of half sequences,
-    and every row's min-product sum comes from _window_triples; a chunk keeps
-    each temporary near _BLOCK_BYTES at any radius. Both sides of the
-    implication compare against integer thresholds per total d: mps >=
-    ceil((1-eps) d^2) and a_0 >= ceil((1-eps) d), each at most d^2 whatever
-    eps's denominator. Violations are rebuilt by implication_check, the oracle.
+    The plan is built once: _window_triples, and integer thresholds per total
+    d for mps >= ceil((1-eps) d^2) and a_0 >= ceil((1-eps) d). By stars and
+    bars, the tails of center a0 with sum <= b = (d_max - a0) // 2 are the
+    steps a_k = c_k - c_{k-1} (c_0 = 0) of the bars 0 <= c_1 <= ... <= c_R
+    <= b, the C(b + R, R) of _sequence_count, in lexicographic order. One
+    np.diff turns a chunk of bars into half sequences, and a chunk keeps each
+    int64 temporary near _BLOCK_BYTES at any radius. Violations are rebuilt
+    by implication_check, the oracle.
     """
     x, y, z, mult = _window_triples(radius)
-    scale = 1 - eps
-    mps_min = np.array([math.ceil(scale * d * d) for d in range(d_max + 1)])
-    center_ok = np.array([a0 >= math.ceil(scale * d) for d in range(d_max + 1)])
-    checked = 0
-    violations = []
-    tails = _half_tails(radius, (d_max - a0) // 2)
-    while chunk := list(islice(tails, max(1, _BLOCK_BYTES // (8 * len(mult))))):
-        half = np.array([(a0, *tail) for tail in chunk], dtype=np.int64)
-        d = 2 * half.sum(axis=1) - a0
-        hx, hy, hz = half[:, x], half[:, y], half[:, z]
-        mps = np.minimum(np.minimum(hx * hy, hx * hz), hy * hz) @ mult
-        # d = 0 is the all-zero sequence, which has no total to concentrate.
-        checked += int(np.count_nonzero(d))
-        for row in np.flatnonzero((d > 0) & (mps >= mps_min[d]) & ~center_ok[d]):
-            result = implication_check(IntWeightSeq.symmetric(a0, chunk[row]), eps)
-            if result.ok:
-                raise ApxError("internal: lemma1 kernel and oracle disagree")
-            violations.append(result)
+    p, q = (1 - eps).numerator, (1 - eps).denominator
+    mps_min = np.array([-(-p * d * d // q) for d in range(d_max + 1)])
+    center_min = np.array([-(-p * d // q) for d in range(d_max + 1)])
+    checked, violations = 0, []
+    for a0 in centers:
+        # At radius 0 the pool is empty: the one empty tail, with no b bars copied.
+        stream = combinations_with_replacement(range(radius and (d_max - a0) // 2 + 1), radius)
+        while chunk := list(islice(stream, max(1, _BLOCK_BYTES // (8 * len(mult))))):
+            bars = np.array(chunk, dtype=np.int64).reshape(len(chunk), radius)
+            half = np.diff(bars, prepend=np.broadcast_to((-a0, 0), (len(chunk), 2)))
+            d = 2 * half.sum(axis=1) - a0
+            hx, hy, hz = half[:, x], half[:, y], half[:, z]
+            mps = np.minimum(np.minimum(hx * hy, hx * hz), hy * hz) @ mult
+            # d = 0 is the all-zero sequence, which has no total to concentrate.
+            checked += int(np.count_nonzero(d))
+            for row in np.flatnonzero((d > 0) & (mps >= mps_min[d]) & (a0 < center_min[d])):
+                result = implication_check(IntWeightSeq.symmetric(a0, half[row, 1:].tolist()), eps)
+                if result.ok:
+                    raise ApxError("internal: lemma1 kernel and oracle disagree")
+                violations.append(result)
     return checked, violations
 
 
@@ -215,20 +210,26 @@ def bruteforce_scan(
     and support inside [-radius, radius].
 
     For eps < 1/10 the violation list must come back empty; larger eps can
-    and does produce counterexamples. A scan of more than
-    _MAX_LEMMA1_SEQUENCES sequences raises ApxError before any work.
+    and does produce counterexamples. Before any work, a scan past a ceiling
+    on its sequences, centers, window pairs or triple terms raises ApxError.
     """
     if d_max < 1 or radius < 0:
         raise ValueError("need d_max >= 1 and radius >= 0")
     eps = _check_eps(eps)
     count = _sequence_count(d_max, radius)
-    if count > _MAX_LEMMA1_SEQUENCES:
-        raise ApxError(
-            f"the lemma1 scan to d_max {d_max} at radius {radius} needs "
-            f"{_spell_count(count)} sequences (ceiling {_MAX_LEMMA1_SEQUENCES})"
-        )
+    # The triples (a, b, a + b), 0 <= a <= b and a + b <= radius, of _window_triples.
+    triples = (radius + 2) ** 2 // 4
+    _require(
+        None, f"lemma1 scan to d_max {d_max} at radius {radius}",
+        (count, "sequences", _ceilings._MAX_LEMMA1_SEQUENCES),
+        (d_max + 1, "centers", _ceilings._MAX_LEMMA1_CENTERS),
+        ((2 * radius + 1) ** 2, "window pairs", _ceilings._MAX_LEMMA1_PAIRS),
+        (count * triples, "triple terms", _ceilings._MAX_LEMMA1_TERMS),
+    )
+    # One task per thread, each over interleaved centers, builds one plan.
+    tasks = max(1, min(threads, d_max + 1))
     worker = partial(_scan_center, d_max=d_max, radius=radius, eps=eps)
-    chunks = pmap(worker, range(d_max + 1), threads=threads)
+    chunks = pmap(worker, [range(t, d_max + 1, tasks) for t in range(tasks)], threads=threads)
     violations = [v for chunk in chunks for v in chunk[1]]
     violations.sort(key=lambda v: (v.d, v.weights))
     return Lemma1ScanReport(

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations
+from itertools import count as naturals
 from math import comb
 from typing import Callable, ClassVar, NamedTuple
 
@@ -22,6 +23,7 @@ from .bounds import (
     BoundValue,
     closure_bound,
     gls_bound,
+    gls_threshold_holds,
     size_profile,
 )
 from .counting import (
@@ -458,7 +460,7 @@ class GlsCase(SuiteCase):
     sets: int
     max_triangles: int
     bound: int
-    regime: str  # "asserted" (q >= 7) | "logged"
+    regime: str  # "asserted" (gls_threshold_holds(q)) | "logged"
     holds: bool
 
 
@@ -469,10 +471,11 @@ class GlsReport(SuiteReport):
     logged: list[GlsCase]
 
 
-def _gls_case(group: GroupSpec, d, count, witness) -> GlsCase:
+def _gls_case(group: GroupSpec, d, count, witness, q_min) -> GlsCase:
     """Triangles of a 0-free symmetric S are n * sum_closure_count(S) / 6.
 
-    sets counts the group's 0-free symmetric d-sets, whatever the plan.
+    sets counts the group's 0-free symmetric d-sets, whatever the plan; the
+    case is asserted from q_min, the first q of gls_threshold_holds.
     """
     n = group.order
     fixed, pairs = orbit_counts(group)
@@ -482,7 +485,7 @@ def _gls_case(group: GroupSpec, d, count, witness) -> GlsCase:
     return GlsCase(
         group=group.label, order=n, d=d, q=profile.q, alpha=profile.alpha, witness=witness,
         sets=_symmetric_count(fixed - 1, pairs, d), max_triangles=max_triangles,
-        bound=bound, regime="asserted" if profile.q >= 7 else "logged",
+        bound=bound, regime="asserted" if profile.q >= q_min else "logged",
         holds=max_triangles <= bound,
     )
 
@@ -491,11 +494,13 @@ def verify_gls(max_order: int = 16, threads: int = 1) -> GlsReport:
     """Triangle counts of every Cayley graph of order <= max_order vs the
     clique ceiling.
 
-    Cases with q >= 7 are asserted (the proven regime); smaller q is outside
-    it, so those cases are only logged with their empirical outcome.
+    Cases whose q passes gls_threshold_holds are asserted (the proven
+    regime, which grows with q); smaller q is outside it, so those cases are
+    only logged with their empirical outcome.
     """
+    case = partial(_gls_case, q_min=next(filter(gls_threshold_holds, naturals(1))))
     plan = partial(_whole_cube, partial(_symmetric_orbits, zero=False))  # all but 0's orbit
-    suite = _Suite(plan, closure_cube, _gls_case, first_size=0, odd_only=False)
+    suite = _Suite(plan, closure_cube, case, first_size=0, odd_only=False)
     groups, cases = _sweep(suite, max_order, threads)
     return GlsReport(
         max_order=max_order,

@@ -418,3 +418,37 @@ def test_identity_line_is_recorded_without_the_kernel(gamma0):
     for alpha in (Fraction(0), Fraction(3, 10), Fraction(1)):
         assert line[alpha] == lemma2_check(q, alpha, 1, 1, gamma0)
     assert (line[1].q_prime, line[1].alpha_prime) == (q + 1, 0)
+
+
+@pytest.mark.parametrize("grid,gamma0,estimate", [
+    ((2, 100_000_000, 2), GAMMA0, "400000000 grid points (ceiling 268435456) and "
+     "200000000 points at eta 1 (ceiling 1048576) and 100000000 rhs values (ceiling 131072) "
+     "and 4 screen cells per alpha row (ceiling 131072)"),
+    ((20, 101, 1_000_000), GAMMA0, "21109000000 grid points"),  # 96 s unrefused
+    ((2000, 101, 51), GAMMA0, "201899 rhs values"),  # 13.8 s at 252 MB unrefused
+    # At gamma0 0 the envelope keeps every eta row: a 512 MiB screen row.
+    ((2, 3, 1 << 25), 0, "67108864 screen cells per alpha row"),
+    # At gamma0 3/2 every eta = 1 point is an equality row: 1.3e8 of them.
+    ((2000, 65, 2), Fraction(3, 2), "130064935 points at eta 1 (ceiling 1048576) and "
+     "129935 rhs values (ceiling 131072)"),
+])
+def test_lemma2_scan_refuses_oversized_grids_before_any_work(grid, gamma0, estimate):
+    q_max, alpha_steps, eta_steps = grid
+    with patch.object(bounds, "pmap", side_effect=AssertionError("scanned")):
+        with pytest.raises(ApxError) as refusal:
+            lemma2_scan(*grid, gamma0=gamma0)
+    message = str(refusal.value)
+    assert message.startswith(
+        f"the lemma2 scan to q_max {q_max} with {alpha_steps} alpha and {eta_steps} eta "
+        "steps needs "
+    )
+    assert estimate in message
+
+
+def test_lemma2_scan_admits_the_grids_it_is_run_on():
+    # Tests, golden files, CI (the defaults, at gamma0 3/2 too), the
+    # benchmark, and the 0.42 s grid of the pool measurement.
+    with patch.object(bounds, "pmap", return_value=[]):
+        for grid in [(20, 101, 51), (60, 401, 201), (3, 9, 5), (2, 3, 2)]:
+            for gamma0 in (GAMMA0, Fraction(3, 2)):
+                assert lemma2_scan(*grid, gamma0=gamma0).points == 0

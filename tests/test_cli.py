@@ -244,6 +244,19 @@ def test_verify_lemma1_refuses_oversized_scans_with_exit_2(capsys):
     assert code == 2 and out == "" and "needs 932763668722933476 sequences" in err
 
 
+@pytest.mark.parametrize("argv,estimates", [
+    (("lemma1", "--d-max", "1", "--radius", "20000"), ("1600080001 window pairs",)),
+    (("lemma1", "--d-max", "8000000", "--radius", "0"), ("8000001 centers",)),
+    (("lemma2", "--q-max", "2", "--alpha-steps", "100000000", "--eta-steps", "2"),
+     ("400000000 grid points", "100000000 rhs values")),
+])
+def test_verify_lemma_scans_refuse_unbounded_work_with_exit_2(capsys, argv, estimates):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and all(estimate in err for estimate in estimates)
+
+
 @pytest.mark.parametrize("gamma0,code", [("1e400", 2), ("3/2", 0)])
 def test_verify_lemma2_gamma0_must_fit_a_float(capsys, gamma0, code):
     argv = ("--q-max", "2", "--alpha-steps", "3", "--eta-steps", "2", "--gamma0", gamma0)

@@ -1,5 +1,7 @@
+import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import comb
 from unittest.mock import patch
 
@@ -16,7 +18,7 @@ from apx import (
     min_product_sum,
 )
 from apx.errors import ApxError
-from apx.lemma1 import _half_tails, _scan_center, _sequence_count, _window_triples
+from apx.lemma1 import _scan_center, _sequence_count, _window_triples
 
 
 def test_weight_seq_construction():
@@ -123,12 +125,19 @@ def test_bruteforce_scan_lemma_range_exhaustive():
 
 
 def test_bruteforce_scan_threads_deterministic():
+    # Three tasks split the ten centers 4, 3, 3: an uneven interleaving.
     serial = bruteforce_scan(9, 2, Fraction(2, 9), threads=1)
-    parallel = bruteforce_scan(9, 2, Fraction(2, 9), threads=2)
-    assert serial.checked == parallel.checked
-    assert [v.weights for v in serial.violations] == [
-        v.weights for v in parallel.violations
-    ]
+    for threads in (2, 3):
+        parallel = bruteforce_scan(9, 2, Fraction(2, 9), threads=threads)
+        assert serial.checked == parallel.checked
+        assert serial.violations == parallel.violations
+
+
+def test_bruteforce_scan_builds_one_plan_per_task():
+    # 31 centers, one serial task: one window and one set of thresholds.
+    with patch.object(lemma1, "_window_triples", wraps=_window_triples) as window:
+        report = bruteforce_scan(30, 2, Fraction(99, 1000))
+    assert window.call_count == 1 and report.checked + 1 == _sequence_count(30, 2)
 
 
 def test_scan_counts_every_sequence_once():
@@ -143,31 +152,40 @@ def test_scan_counts_every_sequence_once():
 KERNEL_EPS = [Fraction(0), Fraction(1, 10), Fraction(2, 9), Fraction(1, 10**20)]
 
 
+def reference_tails(radius, budget):
+    """(a_1, ..., a_radius) with sum <= budget, in lexicographic order."""
+    return [t for t in product(range(budget + 1), repeat=radius) if sum(t) <= budget]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(1, 10), st.integers(0, 10), st.integers(0, 3),
+    st.integers(1, 10), st.integers(0, 10), st.integers(1, 4), st.integers(0, 3),
     st.sampled_from(KERNEL_EPS), st.integers(1, 64),
 )
-@example(1, 0, 0, Fraction(0), 1)
-@example(1, 0, 2, Fraction(1, 10**20), 2)
-@example(9, 3, 0, Fraction(2, 9), 1)
-@example(9, 3, 1, Fraction(2, 9), 2)
-def test_scan_center_matches_implication_check(d_max, a0, radius, eps, chunk):
-    # Every sequence of the center goes through the oracle, including the
-    # skipped all-zero one at a0 = 0; small chunks cross the tail batches.
-    a0 %= d_max + 1
+@example(1, 0, 1, 0, Fraction(0), 1)
+@example(1, 0, 1, 2, Fraction(1, 10**20), 2)
+@example(9, 3, 1, 0, Fraction(2, 9), 1)
+@example(9, 3, 1, 1, Fraction(2, 9), 2)
+@example(9, 0, 3, 2, Fraction(2, 9), 5)
+@example(8, 0, 1, 5, Fraction(1, 10), 7)
+def test_scan_center_matches_implication_check(d_max, a0, step, radius, eps, chunk):
+    # Every sequence of each center goes through the oracle, including the
+    # skipped all-zero one at a0 = 0; small chunks cross the tail batches,
+    # and a step > 1 gives the interleaved centers of one pool task.
+    centers = range(a0 % (d_max + 1), d_max + 1, step)
     expected = []
     checked = 0
-    for tail in _half_tails(radius, (d_max - a0) // 2):
-        if a0 == 0 and not any(tail):
-            continue
-        checked += 1
-        result = implication_check(IntWeightSeq.symmetric(a0, tail), eps)
-        if not result.ok:
-            expected.append(result)
+    for center in centers:
+        for tail in reference_tails(radius, (d_max - center) // 2):
+            if center == 0 and not any(tail):
+                continue
+            checked += 1
+            result = implication_check(IntWeightSeq.symmetric(center, tail), eps)
+            if not result.ok:
+                expected.append(result)
     triples = len(_window_triples(radius)[3])
     with patch.object(lemma1, "_BLOCK_BYTES", 8 * triples * chunk):
-        assert _scan_center(a0, d_max, radius, eps) == (checked, expected)
+        assert _scan_center(centers, d_max, radius, eps) == (checked, expected)
 
 
 def test_scan_center_rebuilds_violations_with_the_oracle():
@@ -176,7 +194,7 @@ def test_scan_center_rebuilds_violations_with_the_oracle():
     ok = implication_check(IntWeightSeq.symmetric(1, ()), Fraction(1, 10))
     with patch.object(lemma1, "implication_check", lambda seq, eps: ok):
         with pytest.raises(ApxError, match="disagree"):
-            _scan_center(3, 9, 1, Fraction(2, 9))
+            _scan_center(range(3, 4), 9, 1, Fraction(2, 9))
 
 
 def test_scan_center_memory_stays_near_its_block_at_a_wide_radius():
@@ -185,7 +203,7 @@ def test_scan_center_memory_stays_near_its_block_at_a_wide_radius():
     # the block budget keep each near 1 MiB.
     tracemalloc.start()
     try:
-        checked, violations = _scan_center(0, 8, 20, Fraction(99, 1000))
+        checked, violations = _scan_center(range(1), 8, 20, Fraction(99, 1000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -220,3 +238,36 @@ def test_bruteforce_scan_refuses_oversized_scans_before_any_work():
         ]:
             with pytest.raises(ApxError, match=rf"d_max {d_max} at radius {radius} needs {count} "):
                 bruteforce_scan(d_max, radius, Fraction(99, 1000))
+
+
+def test_window_triples_are_counted_in_closed_form():
+    # The ceiling charges (radius + 2)^2 // 4 triples per sequence.
+    for radius in range(40):
+        x, y, z, mult = _window_triples(radius)
+        assert len(mult) == (radius + 2) ** 2 // 4
+        assert (x + y == z).all() and int(mult.sum()) == 3 * radius * (radius + 1) + 1
+
+
+@pytest.mark.parametrize("d_max,radius,count,estimate", [
+    (8_000_000, 0, "8000001", "8000001 centers (ceiling 1048576)"),
+    (1, 20_000, "2", "1600080001 window pairs (ceiling 8388608)"),
+    # 503,505 sequences of 251,001 triples each: about 50 min of kernel.
+    (4, 1000, "503505", "126380258505 triple terms (ceiling 1073741824)"),
+])
+def test_bruteforce_scan_refuses_work_its_sequence_count_misses(d_max, radius, count, estimate):
+    start = time.perf_counter()
+    with patch.object(lemma1, "pmap", side_effect=AssertionError("scanned")):
+        with pytest.raises(ApxError) as refusal:
+            bruteforce_scan(d_max, radius, Fraction(99, 1000))
+    assert time.perf_counter() - start < 1
+    message = str(refusal.value)
+    assert f"d_max {d_max} at radius {radius} needs {count} sequences " in message
+    assert estimate in message
+
+
+def test_bruteforce_scan_admits_the_scans_it_is_run_on():
+    # Tests, golden files, CI, the benchmark and the deepest radius-8 scan,
+    # plus the edges of the center and pair ceilings.
+    with patch.object(lemma1, "pmap", return_value=[(0, [])]):
+        for d_max, radius in [(9, 1), (12, 3), (20, 5), (36, 8), (2**20 - 1, 0), (1, 1447)]:
+            assert bruteforce_scan(d_max, radius, Fraction(99, 1000)).checked == 0

@@ -196,6 +196,16 @@ def test_verify_gls_small():
     assert z7d2.max_triangles == 0
 
 
+def test_gls_asserts_from_the_first_q_of_gls_threshold_holds():
+    # The threshold is asked once per sweep, for q = 1, 2, ... up to its
+    # first q, and a case is asserted exactly from that q on.
+    with mock.patch.object(search, "gls_threshold_holds", side_effect=lambda q: q >= 3) as holds:
+        rep = verify_gls(10)
+    assert [c.args for c in holds.call_args_list] == [(1,), (2,), (3,)]
+    assert {c.regime for c in rep.cases if c.q >= 3} == {"asserted"}
+    assert {c.regime for c in rep.cases if c.q < 3} == {"logged"}
+
+
 def test_verify_suites_threads_deterministic():
     # These sweeps are too small to start a pool unless the floor is lowered.
     with mock.patch.object(search, "_POOL_MIN_CELLS", 0):
